@@ -2,8 +2,9 @@
 // to exist): streams single-edge insertions and deletions through a
 // DynamicSpcIndex on mid-size synthetic graphs and reports per-update
 // repair latency against the cost of rebuilding the index from
-// scratch, plus an oracle spot-check that repaired answers match an
-// online BFS on the live graph.
+// scratch, plus oracle spot-checks (every 64 updates and at the end of
+// each stream) that repaired answers match an online BFS on the live
+// graph. Exits non-zero on a mismatch or when a case made no check.
 //
 // Self-contained (WallTimer-based) so it builds without the
 // google-benchmark dependency the figure benches use:
@@ -91,7 +92,24 @@ pspc::benchjson::Object LatencyJson(const std::vector<double>& ms) {
   return object;
 }
 
-void RunCase(const BenchCase& bench, size_t num_updates,
+/// Checks `queries` random pairs of `index` against `oracle` (a BFS
+/// counter) on the index's materialized live graph.
+template <typename Index, typename Oracle>
+void SpotCheck(const Index& index, Oracle oracle, int queries, pspc::Rng& rng,
+               size_t* checks, size_t* failures) {
+  const auto current = index.MaterializeGraph();
+  const pspc::VertexId n = index.NumVertices();
+  for (int q = 0; q < queries; ++q) {
+    const auto s = static_cast<pspc::VertexId>(rng.NextBounded(n));
+    const auto t = static_cast<pspc::VertexId>(rng.NextBounded(n));
+    ++*checks;
+    if (index.Query(s, t) != oracle(current, s, t)) ++*failures;
+  }
+}
+
+// Returns false on an oracle mismatch or when the case made no oracle
+// check at all.
+bool RunCase(const BenchCase& bench, size_t num_updates,
              pspc::benchjson::Array* json_cases) {
   const pspc::Graph& graph = bench.graph;
   std::printf("=== %s: %u vertices, %llu edges ===\n", bench.name.c_str(),
@@ -183,17 +201,14 @@ void RunCase(const BenchCase& bench, size_t num_updates,
 
     // Periodic exactness spot-check against the online BFS oracle.
     if ((insert_ms.size() + delete_ms.size()) % 64 == 0) {
-      const pspc::Graph current = index.MaterializeGraph();
-      for (int q = 0; q < 8; ++q) {
-        const auto s = static_cast<pspc::VertexId>(rng.NextBounded(n));
-        const auto t = static_cast<pspc::VertexId>(rng.NextBounded(n));
-        ++oracle_checks;
-        if (index.Query(s, t) != pspc::BfsSpcPair(current, s, t)) {
-          ++oracle_failures;
-        }
-      }
+      SpotCheck(index, pspc::BfsSpcPair, 8, rng, &oracle_checks,
+                &oracle_failures);
     }
   }
+  // End-of-stream check, so short streams are checked too.
+  pspc::Rng end_rng(4096);
+  SpotCheck(index, pspc::BfsSpcPair, 32, end_rng, &oracle_checks,
+            &oracle_failures);
 
   auto report = [&](const char* label, const std::vector<double>& ms) {
     if (ms.empty()) return;
@@ -241,6 +256,7 @@ void RunCase(const BenchCase& bench, size_t num_updates,
     object.Add("rebuilds", index.Stats().rebuilds);
     json_cases->Add(object);
   }
+  return oracle_checks > 0 && oracle_failures == 0;
 }
 
 // Applies one mixed 50/50 churn stream twice — update-by-update and in
@@ -471,17 +487,13 @@ bool RunDirectedCase(size_t num_updates, uint32_t divisor,
     }
 
     if ((insert_ms.size() + delete_ms.size()) % 64 == 0) {
-      const pspc::DiGraph current = index.MaterializeGraph();
-      for (int q = 0; q < 8; ++q) {
-        const auto s = static_cast<pspc::VertexId>(rng.NextBounded(n));
-        const auto t = static_cast<pspc::VertexId>(rng.NextBounded(n));
-        ++oracle_checks;
-        if (index.Query(s, t) != pspc::DiBfsSpcPair(current, s, t)) {
-          ++oracle_failures;
-        }
-      }
+      SpotCheck(index, pspc::DiBfsSpcPair, 8, rng, &oracle_checks,
+                &oracle_failures);
     }
   }
+  pspc::Rng end_rng(4096);
+  SpotCheck(index, pspc::DiBfsSpcPair, 32, end_rng, &oracle_checks,
+            &oracle_failures);
 
   auto report = [&](const char* label, const std::vector<double>& ms) {
     if (ms.empty()) return;
@@ -585,7 +597,8 @@ bool RunDirectedCase(size_t num_updates, uint32_t divisor,
     object.Add("publish_bound_met", publish_ok);
     json_cases->Add(object);
   }
-  return oracle_failures == 0 && speedup > 1.0 && publish_ok;
+  return oracle_checks > 0 && oracle_failures == 0 && speedup > 1.0 &&
+         publish_ok;
 }
 
 }  // namespace
@@ -687,7 +700,7 @@ int main(int argc, char** argv) {
                                             2),
                      Workload::kClosures, 0.5, 2.0});
     for (const BenchCase& bench : cases) {
-      RunCase(bench, num_updates, &json_cases);
+      ok = RunCase(bench, num_updates, &json_cases) && ok;
     }
     root.Add("bench", "dynamic_updates");
   }

@@ -61,8 +61,6 @@
 #include "src/graph/generators.h"
 #include "src/obs/metrics.h"
 #include "src/label/label_merge.h"
-#include "src/label/label_merge_simd.h"
-#include "src/label/packed_label.h"
 #include "src/label/query_engine.h"
 #include "src/serve/index_snapshot.h"
 #include "src/serve/serving_engine.h"
@@ -331,106 +329,67 @@ bool RunPublishCostPhase(const pspc::Graph& graph,
   return true;
 }
 
-// Query-path phase: the memory-bandwidth work of ISSUE-10. Times the
-// scalar reference merge against the vectorized kernel on raw spans
-// and on packed label blocks, and reports the label bytes a query
-// streams under each representation. Mismatch counts are exact-gated
-// in CI; the byte ratio is machine-independent and gated as a speedup.
-bool RunQueryPathPhase(const pspc::SpcIndex& index,
+// Query-path phase: times the one merge (`MergeLabelCounts` over the
+// raw CSR spans) and reports the label bytes a query streams. A
+// sample of the timed pairs is checked against the BFS oracle; the
+// mismatch count is exact-gated in CI.
+bool RunQueryPathPhase(const pspc::Graph& graph, const pspc::SpcIndex& index,
                        pspc::benchjson::Object* json_out) {
   const pspc::VertexId n = index.NumVertices();
-  const pspc::PackedLabelMap packed =
-      pspc::PackedLabelMap::Encode(index.LabelMap());
   const pspc::QueryBatch pairs = pspc::MakeRandomQueries(n, 4096, 0xbead);
   const size_t reps = std::max<size_t>(1, 500'000 / pairs.size());
 
-  size_t raw_bytes = 0, packed_bytes = 0, mismatches = 0;
-  std::vector<pspc::SpcResult> reference;
-  reference.reserve(pairs.size());
+  size_t bytes = 0;
   for (const auto& [s, t] : pairs) {
-    reference.push_back(
-        pspc::MergeLabelCounts(index.Labels(s), index.Labels(t)));
-    raw_bytes += index.Labels(s).size_bytes() + index.Labels(t).size_bytes();
-    packed_bytes += packed.Block(s).SizeBytes() + packed.Block(t).SizeBytes();
+    bytes += index.Labels(s).size_bytes() + index.Labels(t).size_bytes();
   }
 
-  const auto time_merges = [&](auto&& merge) {
-    uint64_t checksum = 0;
-    pspc::WallTimer timer;
-    for (size_t rep = 0; rep < reps; ++rep) {
-      for (const auto& [s, t] : pairs) {
-        checksum ^= merge(s, t).count;
-      }
-      // Full compiler barrier so the pure, fully-inlinable scalar
-      // reference cannot be hoisted out of the rep loop (the
-      // runtime-dispatched kernels cannot be; the comparison must be
-      // fair).
-      asm volatile("" : "+r"(checksum) : : "memory");
+  uint64_t checksum = 0;
+  pspc::WallTimer timer;
+  for (size_t rep = 0; rep < reps; ++rep) {
+    for (const auto& [s, t] : pairs) {
+      checksum ^=
+          pspc::MergeLabelCounts(index.Labels(s), index.Labels(t)).count;
     }
-    const double seconds = timer.ElapsedSeconds();
-    return seconds * 1e9 / static_cast<double>(reps * pairs.size()) +
-           (checksum == 0xdeadbeef ? 1e-12 : 0.0);
-  };
-  const double scalar_ns = time_merges([&](pspc::VertexId s, pspc::VertexId t) {
-    return pspc::MergeLabelCounts(index.Labels(s), index.Labels(t));
-  });
-  const double fast_ns = time_merges([&](pspc::VertexId s, pspc::VertexId t) {
-    return pspc::MergeLabelCountsFast(index.Labels(s), index.Labels(t));
-  });
-  const double packed_ns = time_merges([&](pspc::VertexId s, pspc::VertexId t) {
-    return pspc::MergeLabelSources(
-        pspc::LabelSource::Packed(packed.Block(s)),
-        pspc::LabelSource::Packed(packed.Block(t)));
-  });
-  for (size_t i = 0; i < pairs.size(); ++i) {
+    // Full compiler barrier so the pure, fully-inlinable merge cannot
+    // be hoisted out of the rep loop.
+    asm volatile("" : "+r"(checksum) : : "memory");
+  }
+  const double merge_ns = timer.ElapsedSeconds() * 1e9 /
+                          static_cast<double>(reps * pairs.size());
+
+  // Oracle: every 16th timed pair (256 checks) against a BFS count.
+  size_t mismatches = 0;
+  for (size_t i = 0; i < pairs.size(); i += 16) {
     const auto [s, t] = pairs[i];
-    if (pspc::MergeLabelCountsFast(index.Labels(s), index.Labels(t)) !=
-        reference[i]) {
-      ++mismatches;
-    }
-    if (pspc::MergeLabelSources(pspc::LabelSource::Packed(packed.Block(s)),
-                                pspc::LabelSource::Packed(packed.Block(t))) !=
-        reference[i]) {
+    if (pspc::MergeLabelCounts(index.Labels(s), index.Labels(t)) !=
+        pspc::BfsSpcPair(graph, s, t)) {
       ++mismatches;
     }
   }
 
-  const double raw_bpq =
-      static_cast<double>(raw_bytes) / static_cast<double>(pairs.size());
-  const double packed_bpq =
-      static_cast<double>(packed_bytes) / static_cast<double>(pairs.size());
+  const double bytes_per_query =
+      static_cast<double>(bytes) / static_cast<double>(pairs.size());
   std::printf(
-      "\nquery path (%zu pairs, kernel %s):\n"
-      "  merge: scalar %.0f ns, vectorized %.0f ns (%.2fx), packed %.0f ns\n"
-      "  label bytes/query: raw %.0f, packed %.0f (%.2fx fewer)\n"
-      "  kernel mismatches vs reference: %zu%s\n",
-      pairs.size(), pspc::MergeKernelName(pspc::ActiveMergeKernel()),
-      scalar_ns, fast_ns, scalar_ns / fast_ns, packed_ns, raw_bpq, packed_bpq,
-      raw_bpq / packed_bpq, mismatches,
+      "\nquery path (%zu pairs): merge %.0f ns, %.0f label bytes/query, "
+      "%zu oracle mismatches%s\n",
+      pairs.size(), merge_ns, bytes_per_query, mismatches,
       mismatches == 0 ? "" : "  <-- CORRECTNESS BUG");
   if (json_out != nullptr) {
     json_out->Add("pairs", static_cast<uint64_t>(pairs.size()));
-    json_out->Add("merge_kernel",
-                  pspc::MergeKernelName(pspc::ActiveMergeKernel()));
-    json_out->Add("scalar_merge_ns", scalar_ns);
-    json_out->Add("fast_merge_ns", fast_ns);
-    json_out->Add("packed_merge_ns", packed_ns);
-    json_out->Add("fast_kernel_speedup", scalar_ns / fast_ns);
-    json_out->Add("label_bytes_per_query_raw", raw_bpq);
-    json_out->Add("label_bytes_per_query_packed", packed_bpq);
-    json_out->Add("packed_bytes_speedup", raw_bpq / packed_bpq);
-    json_out->Add("kernel_mismatches", mismatches);
+    json_out->Add("merge_ns", merge_ns);
+    json_out->Add("label_bytes_per_query", bytes_per_query);
+    json_out->Add("oracle_mismatches", mismatches);
   }
   return mismatches == 0;
 }
 
 // Compaction phase: insert-heavy churn into a repair-only overlay,
-// then the ISSUE-10 compactor — budgeted pack steps until the overlay
-// is fully packed, then one fold. Driven synchronously so the row is
+// then one compactor fold. Driven synchronously so the row is
 // deterministic (the concurrent engine-owned path is covered by
 // serving_compaction_test under TSan). Reports overlay width
-// before/after, stale entries pruned, and the packed-vs-raw chunk
-// footprint; the quiesce oracle is exact-gated in CI.
+// before/after and stale entries pruned; the quiesce oracle is
+// exact-gated in CI.
 bool RunCompactionPhase(const pspc::Graph& graph, const pspc::SpcIndex& index,
                         pspc::benchjson::Object* json_out) {
   pspc::DynamicOptions options;
@@ -453,20 +412,8 @@ bool RunCompactionPhase(const pspc::Graph& graph, const pspc::SpcIndex& index,
     }
   }
 
-  pspc::CompactionOptions compaction;
-  compaction.chunk_budget_per_step = 64;
-  pspc::OverlayCompactor compactor(&dynamic, compaction);
-
+  pspc::OverlayCompactor compactor(&dynamic);
   const size_t overlay_entries_before = dynamic.Overlay().OverlaidEntries();
-  pspc::WallTimer pack_timer;
-  size_t pack_steps = 0;
-  while (compactor.PackStep() > 0) {
-    if (++pack_steps > 100000) break;  // paranoia: never hang the bench
-  }
-  const double pack_ms = pack_timer.ElapsedMillis();
-  const uint64_t chunks_packed = compactor.Stats().chunks_packed;
-  const uint64_t raw_chunk_bytes = compactor.Stats().raw_chunk_bytes;
-  const uint64_t packed_chunk_bytes = compactor.Stats().packed_chunk_bytes;
 
   pspc::WallTimer fold_timer;
   compactor.Fold();
@@ -482,33 +429,15 @@ bool RunCompactionPhase(const pspc::Graph& graph, const pspc::SpcIndex& index,
 
   std::printf(
       "\ncompaction (insert-heavy overlay):\n"
-      "  packed %llu chunks in %zu steps (%.3f ms): %llu raw B -> %llu "
-      "packed B (%.2fx)\n"
       "  fold (%.3f ms): overlay %zu -> %zu entries, %llu stale pruned\n"
       "  oracle: %zu mismatches%s\n",
-      static_cast<unsigned long long>(chunks_packed), pack_steps, pack_ms,
-      static_cast<unsigned long long>(raw_chunk_bytes),
-      static_cast<unsigned long long>(packed_chunk_bytes),
-      packed_chunk_bytes == 0
-          ? 0.0
-          : static_cast<double>(raw_chunk_bytes) /
-                static_cast<double>(packed_chunk_bytes),
       fold_ms, overlay_entries_before, overlay_entries_after,
       static_cast<unsigned long long>(totals.entries_pruned), mismatches,
       mismatches == 0 ? "" : "  <-- CORRECTNESS BUG");
   if (json_out != nullptr) {
     json_out->Add("overlay_entries_before_fold", overlay_entries_before);
     json_out->Add("overlay_entries_after_fold", overlay_entries_after);
-    json_out->Add("chunks_packed", chunks_packed);
     json_out->Add("entries_pruned", totals.entries_pruned);
-    json_out->Add("raw_chunk_bytes", raw_chunk_bytes);
-    json_out->Add("packed_chunk_bytes", packed_chunk_bytes);
-    json_out->Add("chunk_bytes_speedup",
-                  packed_chunk_bytes == 0
-                      ? 1.0
-                      : static_cast<double>(raw_chunk_bytes) /
-                            static_cast<double>(packed_chunk_bytes));
-    json_out->Add("pack_ms", pack_ms);
     json_out->Add("fold_ms", fold_ms);
     json_out->Add("fold_emptied_overlay_met", overlay_entries_after == 0);
     json_out->Add("oracle_mismatches", mismatches);
@@ -610,10 +539,11 @@ int main(int argc, char** argv) {
       RunPublishCostPhase(graph, built.index, /*batches=*/24,
                           /*batch_size=*/8, &publish_json);
 
-  // ISSUE-10 phases: the memory-bandwidth query path (vectorized merge
-  // kernel + packed label bytes) and the overlay compactor.
+  // The query path (merge time and label bytes per query) and the
+  // overlay compactor's fold.
   pspc::benchjson::Object query_path_json;
-  const bool query_path_ok = RunQueryPathPhase(built.index, &query_path_json);
+  const bool query_path_ok =
+      RunQueryPathPhase(graph, built.index, &query_path_json);
   pspc::benchjson::Object compaction_json;
   const bool compaction_ok =
       RunCompactionPhase(graph, built.index, &compaction_json);

@@ -10,11 +10,9 @@
 //                    [--update-stream <updates.txt>]
 //
 // `index-stats` profiles a built index: label-size / distance / hub
-// distributions plus the memory-bandwidth view — raw label bytes vs
-// the packed-block mirror, bytes per entry. With `--update-stream` it
-// additionally replays the stream repair-only and reports the overlay
-// before and after a compaction pass (pack steps + fold): overlay
-// width, stale entries pruned, packed vs raw chunk bytes.
+// distributions and label bytes. With `--update-stream` it additionally
+// replays the stream repair-only and reports the overlay before and
+// after a compaction fold: overlay width and stale entries pruned.
 //   ./spc_cli update <graph-or-dataset> <index.bin>
 //                    --update-stream <updates.txt>
 //                    [--batch-size N] [--rebuild-threshold R]
@@ -889,10 +887,9 @@ int CmdStats(int argc, char** argv) {
   return 0;
 }
 
-// Profiles a built index: the classic label distributions plus the
-// memory-bandwidth view (raw vs packed bytes, bytes/entry). With
-// --update-stream, additionally replays the stream repair-only and
-// reports the overlay before/after a full compaction pass.
+// Profiles a built index: the classic label distributions and label
+// bytes. With --update-stream, additionally replays the stream
+// repair-only and reports the overlay before/after a compaction fold.
 int CmdIndexStats(int argc, char** argv) {
   if (argc < 4) return Usage();
   pspc::Graph graph;
@@ -915,14 +912,6 @@ int CmdIndexStats(int argc, char** argv) {
 
   const pspc::IndexProfile profile = pspc::ProfileIndex(loaded.value());
   std::printf("%s\n", profile.ToString().c_str());
-  std::printf("label bytes: raw %zu (%.2f B/entry), packed %zu "
-              "(%.2f B/entry), %.2fx smaller\n",
-              profile.raw_bytes, profile.raw_bytes_per_entry,
-              profile.packed_bytes, profile.packed_bytes_per_entry,
-              profile.packed_bytes == 0
-                  ? 0.0
-                  : static_cast<double>(profile.raw_bytes) /
-                        static_cast<double>(profile.packed_bytes));
   if (stream_path.empty()) return 0;
 
   auto stream = pspc::LoadUpdateStream(stream_path);
@@ -955,17 +944,6 @@ int CmdIndexStats(int argc, char** argv) {
               index.Overlay().OverlaidEntries(), index.StalenessRatio());
 
   pspc::OverlayCompactor compactor(&index);
-  while (compactor.PackStep() > 0) {
-  }
-  const pspc::CompactionStats packed = compactor.Stats();
-  std::printf("pack: %llu chunks, %llu raw B -> %llu packed B (%.2fx)\n",
-              static_cast<unsigned long long>(packed.chunks_packed),
-              static_cast<unsigned long long>(packed.raw_chunk_bytes),
-              static_cast<unsigned long long>(packed.packed_chunk_bytes),
-              packed.packed_chunk_bytes == 0
-                  ? 0.0
-                  : static_cast<double>(packed.raw_chunk_bytes) /
-                        static_cast<double>(packed.packed_chunk_bytes));
   compactor.Fold();
   std::printf("fold: overlay now %zu vertices / %zu entries, %llu stale "
               "entries pruned, base %zu entries\n",
@@ -973,11 +951,6 @@ int CmdIndexStats(int argc, char** argv) {
               index.Overlay().OverlaidEntries(),
               static_cast<unsigned long long>(compactor.Stats().entries_pruned),
               index.BaseIndex().TotalEntries());
-  const pspc::IndexProfile after = pspc::ProfileIndex(index.BaseIndex());
-  std::printf("post-compaction label bytes: raw %zu, packed %zu "
-              "(%.2f B/entry)\n",
-              after.raw_bytes, after.packed_bytes,
-              after.packed_bytes_per_entry);
   return 0;
 }
 

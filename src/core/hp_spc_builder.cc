@@ -113,9 +113,9 @@ HpSpcBuildResult BuildHpSpcIndex(const Graph& graph, const VertexOrder& order,
     ++result.stats.num_iterations;
   }
 
-  result.stats.construction_seconds = timer.ElapsedSeconds();
   result.stats.total_entries = result.stats.labels_inserted;
   result.index = SpcIndex(order, std::move(labels));
+  result.stats.construction_seconds = timer.ElapsedSeconds();
   return result;
 }
 

@@ -376,9 +376,10 @@ PspcBuildResult BuildPspcIndex(const Graph& graph, const VertexOrder& order,
   }
   result.stats.total_entries = ctx.store.TotalEntries();
   result.stats.labels_inserted = result.stats.total_entries;
-  result.stats.construction_seconds = timer.ElapsedSeconds();
-
+  // Sorting and flattening the labels into the CSR is part of
+  // construction: stamp the timer after it.
   result.index = SpcIndex(order, ctx.store.TakeEntries());
+  result.stats.construction_seconds = timer.ElapsedSeconds();
   return result;
 }
 

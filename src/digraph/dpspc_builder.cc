@@ -169,9 +169,9 @@ DiPspcBuildResult BuildDirectedPspcIndex(const DiGraph& graph,
   result.stats.total_entries =
       in_store.TotalEntries() + out_store.TotalEntries();
   result.stats.labels_inserted = result.stats.total_entries;
-  result.stats.construction_seconds = timer.ElapsedSeconds();
   result.index =
       DiSpcIndex(order, out_store.TakeEntries(), in_store.TakeEntries());
+  result.stats.construction_seconds = timer.ElapsedSeconds();
   return result;
 }
 

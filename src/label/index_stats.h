@@ -18,13 +18,9 @@ struct IndexProfile {
   double avg_label_size = 0.0;
   size_t max_label_size = 0;
   size_t min_label_size = 0;
-  /// Raw in-memory footprint (16 B/entry) vs the packed-block mirror
-  /// (`packed_label.h`: delta ranks + narrow lanes + skip headers) —
-  /// the bytes a query streams per label entry under each form.
-  size_t raw_bytes = 0;
-  size_t packed_bytes = 0;
-  double raw_bytes_per_entry = 0.0;
-  double packed_bytes_per_entry = 0.0;
+  /// In-memory label footprint: `sizeof(LabelEntry)` bytes per entry,
+  /// the bytes a query streams per label entry it merges.
+  size_t label_bytes = 0;
   /// histogram[d] = number of entries with label distance d.
   std::vector<size_t> entries_per_distance;
   /// Share of all entries whose hub is among the top-k ranked vertices,

@@ -65,34 +65,8 @@ struct BaseLabelMap {
 /// can reach is frozen. `shared_ptr` ownership is what makes snapshot
 /// publication O(delta): unchanged vertices alias the previous
 /// generation's chunk instead of being re-copied.
-struct LabelChunk {
-  std::vector<LabelEntry> entries;
-
-  /// Optional packed twin of `entries` (one block in the
-  /// `src/label/packed_label.h` format), attached by overlay
-  /// compaction so frozen chunks serve queries from the compressed
-  /// form. Invariant: when non-empty it decodes to exactly `entries`;
-  /// every write path (`ChunkedOverlay::Mutable`) clears it, so a
-  /// writable chunk is always raw-only and the packed bytes can never
-  /// go stale.
-  std::vector<uint8_t> packed;
-};
-
+using LabelChunk = std::vector<LabelEntry>;
 using LabelChunkPtr = std::shared_ptr<LabelChunk>;
-
-/// A fresh chunk holding a copy of `entries` (typically a base-index
-/// CSR span being pulled out-of-line on first repair touch).
-inline LabelChunkPtr MakeLabelChunk(std::span<const LabelEntry> entries) {
-  auto chunk = std::make_shared<LabelChunk>();
-  chunk->entries.assign(entries.begin(), entries.end());
-  return chunk;
-}
-
-/// Read-only view of a chunk's entries, the same shape every other
-/// label container exposes.
-inline std::span<const LabelEntry> ChunkSpan(const LabelChunk& chunk) {
-  return {chunk.entries.data(), chunk.entries.size()};
-}
 
 }  // namespace pspc
 

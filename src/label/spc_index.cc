@@ -5,7 +5,7 @@
 #include <fstream>
 
 #include "src/common/logging.h"
-#include "src/label/label_merge_simd.h"
+#include "src/label/label_merge.h"
 
 namespace pspc {
 namespace {
@@ -41,9 +41,7 @@ SpcResult SpcIndex::Query(VertexId s, VertexId t) const {
                  "query (" << s << "," << t << ") out of range");
   if (s == t) return {0, 1};
 
-  // Vectorized galloping merge — bit-identical to MergeLabelCounts
-  // (differential suite: tests/label_merge_simd_test.cc).
-  return MergeLabelCountsFast(Labels(s), Labels(t));
+  return MergeLabelCounts(Labels(s), Labels(t));
 }
 
 double SpcIndex::AverageLabelSize() const {

@@ -46,8 +46,6 @@ inline constexpr char kServeLabelBytesMergedTotal[] =
     "serve.label_bytes.merged_total";
 inline constexpr char kServeCompactionStepsTotal[] =
     "serve.compaction.steps_total";
-inline constexpr char kServeCompactionChunksPackedTotal[] =
-    "serve.compaction.chunks_packed_total";
 inline constexpr char kServeCompactionFoldsTotal[] =
     "serve.compaction.folds_total";
 inline constexpr char kServeCompactionEntriesPrunedTotal[] =
@@ -139,7 +137,6 @@ inline constexpr std::string_view kCounterNames[] = {
     kServeTracesSlowTotal,
     kServeLabelBytesMergedTotal,
     kServeCompactionStepsTotal,
-    kServeCompactionChunksPackedTotal,
     kServeCompactionFoldsTotal,
     kServeCompactionEntriesPrunedTotal,
     kDynamicInsertionsAppliedTotal,

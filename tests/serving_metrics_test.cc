@@ -126,6 +126,56 @@ TEST(ServingMetricsTest, RegistryAgreesWithServingCounters) {
       counters.queries_served);
 }
 
+// With the cache off every query is a miss that merges both label
+// lists, so serve.label_bytes.* must account exactly the bytes of the
+// two LabelEntry spans per query — from the base CSR, and after a
+// repair from the overlay chunks the published snapshot carries.
+TEST(ServingMetricsTest, LabelBytesAccountBothSpansPerMiss) {
+  const Graph graph = GenerateBarabasiAlbert(80, 3, 29);
+  obs::MetricsRegistry registry;
+  auto index = MakeIndex(graph, &registry);
+
+  ServingOptions options;
+  options.num_workers = 2;
+  options.cache_capacity_per_shard = 0;
+  options.metrics = &registry;
+  ServingEngine engine(index.get(), options);
+
+  QueryBatch queries;
+  for (const auto& [s, t] : MakeRandomQueries(80, 96, 5)) {
+    if (s != t) queries.push_back({s, t});
+  }
+  ASSERT_FALSE(queries.empty());
+
+  uint64_t expected_bytes = 0;
+  for (int round = 0; round < 2; ++round) {
+    if (round == 1) {
+      VertexId far = 79;
+      while (index->HasEdge(1, far)) --far;
+      EdgeUpdateBatch updates;
+      updates.Insert(1, far);
+      updates.Delete(0, graph.Neighbors(0)[0]);
+      ASSERT_TRUE(engine.ApplyUpdates(updates).ok());
+      ASSERT_GT(index->Overlay().OverlaidVertices(), 0u);
+    }
+    for (const auto& [s, t] : queries) {
+      expected_bytes += (index->Labels(s).size() + index->Labels(t).size()) *
+                        sizeof(LabelEntry);
+    }
+    engine.SubmitBatch(queries).get();
+    engine.Drain();
+  }
+
+  const uint64_t served = 2 * queries.size();
+  EXPECT_EQ(CounterValue(registry, obs::kServeCacheMissesTotal), served);
+  EXPECT_EQ(CounterValue(registry, obs::kServeLabelBytesMergedTotal),
+            expected_bytes);
+  const auto per_query =
+      registry.GetHistogram(obs::kServeLabelBytesPerQuery)->Snapshot();
+  EXPECT_EQ(per_query.count, served);
+  EXPECT_DOUBLE_EQ(per_query.sum, static_cast<double>(expected_bytes));
+}
+
 // Counters() and ToJson() are polled from a dedicated thread while
 // loaders and a writer run — the regression test for the old
 // mutex-guarded read path (TSan verifies no data race, the final
@@ -143,6 +193,7 @@ TEST(ServingMetricsTest, PollingThreadDuringMixedWorkload) {
 
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> polls{0};
+  std::atomic<bool> started{false};
   std::thread poller([&] {
     uint64_t last_queries = 0;
     // relaxed: stop/progress flag only; thread join is the sync point.
@@ -155,8 +206,12 @@ TEST(ServingMetricsTest, PollingThreadDuringMixedWorkload) {
       const std::string json = engine.Metrics().ToJson();
       EXPECT_NE(json.find("\"schema_version\":1"), std::string::npos);
       polls.fetch_add(1, std::memory_order_relaxed);
+      started.store(true, std::memory_order_release);
     }
   });
+  // The workload starts only after the first poll, so the poller
+  // cannot miss it when the loader and writer finish quickly.
+  while (!started.load(std::memory_order_acquire)) std::this_thread::yield();
 
   std::thread loader([&] {
     for (int round = 0; round < 20; ++round) {

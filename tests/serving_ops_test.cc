@@ -284,6 +284,7 @@ TEST(ServingOpsTest, ConcurrentScrapesDuringMixedWorkload) {
 
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> scrapes{0};
+  std::atomic<bool> started{false};
   std::thread scraper([&] {
     const char* paths[] = {"/metrics", "/metrics.json", "/healthz",
                            "/varz", "/tracez", "/flightrecorder"};
@@ -299,6 +300,7 @@ TEST(ServingOpsTest, ConcurrentScrapesDuringMixedWorkload) {
         EXPECT_TRUE(prom.ok) << prom.error;
       }
       scrapes.fetch_add(1, std::memory_order_relaxed);
+      started.store(true, std::memory_order_release);
     }
   });
   std::thread ticker([&] {
@@ -307,6 +309,10 @@ TEST(ServingOpsTest, ConcurrentScrapesDuringMixedWorkload) {
       ops.watchdog.Evaluate();
     }
   });
+
+  // The workload starts only after the first scrape, so the scraper
+  // cannot miss it when the loader and writer finish quickly.
+  while (!started.load(std::memory_order_acquire)) std::this_thread::yield();
 
   std::thread loader([&] {
     for (int round = 0; round < 15; ++round) {

@@ -30,7 +30,10 @@
 //   * everything else: informational only
 //
 // Keys present on only one side are reported (schema drift) but not
-// fatal — benches grow fields across PRs. Exit 1 on any regression.
+// fatal — benches grow fields across PRs. Independently of the
+// baseline, any `oracle_checks` leaf of the fresh run that is 0 is a
+// regression: an oracle that checked nothing passes vacuously. Exit 1
+// on any regression.
 //
 // Self-contained on purpose: tools build without linking the library,
 // and the repo deliberately has no JSON parser dependency, so a
@@ -212,12 +215,16 @@ bool EndsWith(const std::string& s, const char* suffix) {
   return s.size() >= n && s.compare(s.size() - n, n, suffix) == 0;
 }
 
-// Classifies by the leaf name (last dotted component), so
-// `rows[3].batch_p99_ms` and `insert.p95_ms` classify the same way.
-Direction Classify(const std::string& key) {
+// The leaf name of a flattened key (its last dotted component).
+std::string Leaf(const std::string& key) {
   const size_t dot = key.rfind('.');
-  const std::string leaf = dot == std::string::npos ? key
-                                                    : key.substr(dot + 1);
+  return dot == std::string::npos ? key : key.substr(dot + 1);
+}
+
+// Classifies by the leaf name, so `rows[3].batch_p99_ms` and
+// `insert.p95_ms` classify the same way.
+Direction Classify(const std::string& key) {
+  const std::string leaf = Leaf(key);
   if (Contains(leaf, "mismatch") || Contains(leaf, "failure")) {
     return Direction::kExactOrBetter;
   }
@@ -377,6 +384,15 @@ int main(int argc, char** argv) {
     if (bad || direction != Direction::kInfo) {
       std::printf("  %-18s %-13s %-54s %.6g -> %.6g\n", verdict,
                   DirectionName(direction), key.c_str(), base, now);
+    }
+  }
+
+  for (const auto& [key, now] : fresh) {
+    if (!only.empty() && !Contains(key, only.c_str())) continue;
+    if (Leaf(key) == "oracle_checks" && now == 0) {
+      std::printf("  %-18s %-13s %-54s %.6g\n", "REGRESSION", "nonzero",
+                  key.c_str(), now);
+      regressions.push_back(key);
     }
   }
 
