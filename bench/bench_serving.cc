@@ -56,7 +56,6 @@
 #include "src/common/timer.h"
 #include "src/core/builder_facade.h"
 #include "src/dynamic/closure_churn.h"
-#include "src/dynamic/compaction.h"
 #include "src/dynamic/dynamic_spc_index.h"
 #include "src/graph/generators.h"
 #include "src/obs/metrics.h"
@@ -385,15 +384,14 @@ bool RunQueryPathPhase(const pspc::Graph& graph, const pspc::SpcIndex& index,
 }
 
 // Compaction phase: insert-heavy churn into a repair-only overlay,
-// then one compactor fold. Driven synchronously so the row is
-// deterministic (the concurrent engine-owned path is covered by
+// then one fold of the index. Driven synchronously so the row is
+// deterministic (folds published through the engine are covered by
 // serving_compaction_test under TSan). Reports overlay width
-// before/after and stale entries pruned; the quiesce oracle is
-// exact-gated in CI.
+// before/after; the quiesce oracle is exact-gated in CI.
 bool RunCompactionPhase(const pspc::Graph& graph, const pspc::SpcIndex& index,
                         pspc::benchjson::Object* json_out) {
   pspc::DynamicOptions options;
-  options.rebuild_threshold = 1e18;  // repair-only; compaction owns folds
+  options.auto_rebuild = false;  // repair-only; the fold runs below
   pspc::DynamicSpcIndex dynamic(graph, index, options);
 
   const pspc::VertexId n = graph.NumVertices();
@@ -412,13 +410,11 @@ bool RunCompactionPhase(const pspc::Graph& graph, const pspc::SpcIndex& index,
     }
   }
 
-  pspc::OverlayCompactor compactor(&dynamic);
   const size_t overlay_entries_before = dynamic.Overlay().OverlaidEntries();
 
   pspc::WallTimer fold_timer;
-  compactor.Fold();
+  dynamic.Fold();
   const double fold_ms = fold_timer.ElapsedMillis();
-  const pspc::CompactionStats totals = compactor.Stats();
   const size_t overlay_entries_after = dynamic.Overlay().OverlaidEntries();
 
   const pspc::Graph current = dynamic.MaterializeGraph();
@@ -429,15 +425,13 @@ bool RunCompactionPhase(const pspc::Graph& graph, const pspc::SpcIndex& index,
 
   std::printf(
       "\ncompaction (insert-heavy overlay):\n"
-      "  fold (%.3f ms): overlay %zu -> %zu entries, %llu stale pruned\n"
+      "  fold (%.3f ms): overlay %zu -> %zu entries\n"
       "  oracle: %zu mismatches%s\n",
-      fold_ms, overlay_entries_before, overlay_entries_after,
-      static_cast<unsigned long long>(totals.entries_pruned), mismatches,
+      fold_ms, overlay_entries_before, overlay_entries_after, mismatches,
       mismatches == 0 ? "" : "  <-- CORRECTNESS BUG");
   if (json_out != nullptr) {
     json_out->Add("overlay_entries_before_fold", overlay_entries_before);
     json_out->Add("overlay_entries_after_fold", overlay_entries_after);
-    json_out->Add("entries_pruned", totals.entries_pruned);
     json_out->Add("fold_ms", fold_ms);
     json_out->Add("fold_emptied_overlay_met", overlay_entries_after == 0);
     json_out->Add("oracle_mismatches", mismatches);
@@ -540,7 +534,7 @@ int main(int argc, char** argv) {
                           /*batch_size=*/8, &publish_json);
 
   // The query path (merge time and label bytes per query) and the
-  // overlay compactor's fold.
+  // index's overlay fold.
   pspc::benchjson::Object query_path_json;
   const bool query_path_ok =
       RunQueryPathPhase(graph, built.index, &query_path_json);

@@ -12,7 +12,7 @@
 // `index-stats` profiles a built index: label-size / distance / hub
 // distributions and label bytes. With `--update-stream` it additionally
 // replays the stream repair-only and reports the overlay before and
-// after a compaction fold: overlay width and stale entries pruned.
+// after the index folds it into its base: overlay width and base size.
 //   ./spc_cli update <graph-or-dataset> <index.bin>
 //                    --update-stream <updates.txt>
 //                    [--batch-size N] [--rebuild-threshold R]
@@ -61,6 +61,12 @@
 // updates per atomic ApplyBatch (coalesced repair, one snapshot
 // generation per batch in `serve`); 1 = update-by-update.
 //
+// `--rebuild-threshold R` (default 0.25) is the staleness policy: once
+// overlay entries exceed R x base entries the index folds the overlay
+// into a fresh base under its current order (a linear copy); a full
+// re-order + rebuild runs only when a folded base holds more than
+// (1 + R) x the entries of the last full build.
+//
 // Examples:
 //   ./spc_cli build dataset:FB /tmp/fb.idx --order hybrid
 //   ./spc_cli query dataset:FB /tmp/fb.idx 0 17 3 99
@@ -97,7 +103,6 @@
 #include "src/dynamic/dynamic_dspc_index.h"
 #include "src/dynamic/dynamic_spc_index.h"
 #include "src/dynamic/edge_update.h"
-#include "src/dynamic/compaction.h"
 #include "src/graph/algorithms.h"
 #include "src/graph/datasets.h"
 #include "src/graph/graph_io.h"
@@ -889,7 +894,7 @@ int CmdStats(int argc, char** argv) {
 
 // Profiles a built index: the classic label distributions and label
 // bytes. With --update-stream, additionally replays the stream
-// repair-only and reports the overlay before/after a compaction fold.
+// repair-only and reports the overlay before/after a fold.
 int CmdIndexStats(int argc, char** argv) {
   if (argc < 4) return Usage();
   pspc::Graph graph;
@@ -926,7 +931,7 @@ int CmdIndexStats(int argc, char** argv) {
     return 1;
   }
   pspc::DynamicOptions options;
-  options.rebuild_threshold = 1e18;  // repair-only: compaction owns the fold
+  options.auto_rebuild = false;  // repair-only: the fold runs below
   pspc::DynamicSpcIndex index(std::move(graph), std::move(loaded).value(),
                               options);
   size_t applied = 0;
@@ -943,20 +948,18 @@ int CmdIndexStats(int argc, char** argv) {
               applied, index.Overlay().OverlaidVertices(),
               index.Overlay().OverlaidEntries(), index.StalenessRatio());
 
-  pspc::OverlayCompactor compactor(&index);
-  compactor.Fold();
-  std::printf("fold: overlay now %zu vertices / %zu entries, %llu stale "
-              "entries pruned, base %zu entries\n",
+  index.Fold();
+  std::printf("fold: overlay now %zu vertices / %zu entries, base %zu "
+              "entries\n",
               index.Overlay().OverlaidVertices(),
               index.Overlay().OverlaidEntries(),
-              static_cast<unsigned long long>(compactor.Stats().entries_pruned),
               index.BaseIndex().TotalEntries());
   return 0;
 }
 
 // Replays an update stream against the dynamic index: per-update
-// repair latency, staleness growth, and optionally a compacted
-// (rebuilt) index written back to disk.
+// repair latency, staleness growth, and optionally a rebuilt index
+// written back to disk.
 int CmdUpdate(int argc, char** argv) {
   if (DirectedMode(argc, argv)) return CmdUpdateDirected(argc, argv);
   if (argc < 4) return Usage();
@@ -1061,7 +1064,7 @@ int CmdUpdate(int argc, char** argv) {
               static_cast<unsigned long long>(index.NumEdges()));
 
   if (!save_path.empty()) {
-    index.Rebuild();  // compact: fold the overlay into a fresh base
+    index.Rebuild();  // canonical labels under a fresh order
     if (const pspc::Status st = index.BaseIndex().Save(save_path); !st.ok()) {
       std::fprintf(stderr, "save failed: %s\n", st.ToString().c_str());
       return 1;

@@ -1,39 +1,29 @@
 #include "src/digraph/dspc_index.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "src/common/logging.h"
 #include "src/label/label_merge.h"
+#include "src/label/spc_index.h"
 
 namespace pspc {
-namespace {
-
-void Flatten(std::vector<std::vector<LabelEntry>> labels,
-             std::vector<uint64_t>* offsets,
-             std::vector<LabelEntry>* entries) {
-  offsets->assign(labels.size() + 1, 0);
-  size_t total = 0;
-  for (size_t v = 0; v < labels.size(); ++v) {
-    total += labels[v].size();
-    (*offsets)[v + 1] = total;
-  }
-  entries->reserve(total);
-  for (auto& vec : labels) {
-    std::sort(vec.begin(), vec.end(), ByHubRank);
-    entries->insert(entries->end(), vec.begin(), vec.end());
-  }
-}
-
-}  // namespace
 
 DiSpcIndex::DiSpcIndex(VertexOrder order,
                        std::vector<std::vector<LabelEntry>> out,
                        std::vector<std::vector<LabelEntry>> in)
-    : order_(std::move(order)) {
-  PSPC_CHECK(out.size() == order_.Size());
-  PSPC_CHECK(in.size() == order_.Size());
-  Flatten(std::move(out), &out_offsets_, &out_entries_);
-  Flatten(std::move(in), &in_offsets_, &in_entries_);
+    : DiSpcIndex(std::move(order), FlattenLabels(std::move(out)),
+                 FlattenLabels(std::move(in))) {}
+
+DiSpcIndex::DiSpcIndex(VertexOrder order, LabelCsr out, LabelCsr in)
+    : order_(std::move(order)),
+      out_offsets_(std::move(out.offsets)),
+      in_offsets_(std::move(in.offsets)),
+      out_entries_(std::move(out.entries)),
+      in_entries_(std::move(in.entries)) {
+  PSPC_CHECK(out_offsets_.size() == order_.Size() + 1);
+  PSPC_CHECK(in_offsets_.size() == order_.Size() + 1);
+  PSPC_CHECK(out_offsets_.back() == out_entries_.size());
+  PSPC_CHECK(in_offsets_.back() == in_entries_.size());
 }
 
 SpcResult DiSpcIndex::Query(VertexId s, VertexId t) const {

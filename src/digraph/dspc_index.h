@@ -26,6 +26,9 @@ class DiSpcIndex {
   DiSpcIndex(VertexOrder order, std::vector<std::vector<LabelEntry>> out,
              std::vector<std::vector<LabelEntry>> in);
 
+  /// Adopts already rank-sorted CSR tables, one per label side.
+  DiSpcIndex(VertexOrder order, LabelCsr out, LabelCsr in);
+
   VertexId NumVertices() const {
     return out_offsets_.empty()
                ? 0

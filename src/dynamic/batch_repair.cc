@@ -101,7 +101,7 @@ Status DynamicSpcIndex::ApplyBatch(const EdgeUpdateBatch& batch) {
   stats_.insertions_applied += plan.net_insertions.size();
   stats_.deletions_applied += plan.net_deletions.size();
   ++generation_;  // one published generation per batch
-  MaybeRebuild();
+  MaybeFold();
   PublishMetrics();
   return Status::OK();
 }

@@ -111,7 +111,8 @@ class ChunkedOverlay {
   /// side (out/in) of the directed `DiSpcIndex`.
   explicit ChunkedOverlay(BaseLabelMap base) { Rebase(base); }
 
-  /// Swaps in a freshly built base and drops every overlaid vertex.
+  /// Swaps in a fresh base (a rebuild's, or a fold's `Materialize`)
+  /// and drops every overlaid vertex.
   /// Captures taken before the rebase keep the old pages (and the old
   /// base, via the snapshot's shared base pointer) alive on their own.
   void Rebase(BaseLabelMap base) {
@@ -177,22 +178,24 @@ class ChunkedOverlay {
 
   bool Overlaid(VertexId v) const { return ChunkAt(v) != nullptr; }
 
-  /// Visits every overlaid vertex (`fn(VertexId, const LabelChunk&)`)
-  /// in occupied-page order. Cost is proportional to the overlay
-  /// footprint, like `OverlaidEntries`. The chunks are the writer's
-  /// current ones — do not call `Mutable` while iterating.
-  template <typename Fn>
-  void ForEachOverlaid(Fn&& fn) const {
-    for (const uint32_t p : occupied_pages_) {
-      const OverlayPagePtr& page = (*root_)[p];
-      if (page == nullptr) continue;
-      for (size_t s = 0; s < kOverlayPageSize; ++s) {
-        const LabelChunkPtr& chunk = page->slots[s];
-        if (chunk != nullptr) {
-          fn(static_cast<VertexId>((size_t{p} << kOverlayPageBits) | s), *chunk);
-        }
-      }
+  /// Base (+) overlay as one fresh CSR table: every vertex's current
+  /// labels, in vertex order. A linear copy — no BFS, no re-sort (the
+  /// chunks are rank-sorted already) — and the direction-generic half
+  /// of a dynamic index's fold, which adopts the table as its next
+  /// base and then `Rebase`s onto it.
+  LabelCsr Materialize() const {
+    const VertexId n = base_.num_vertices;
+    LabelCsr csr;
+    csr.offsets.assign(static_cast<size_t>(n) + 1, 0);
+    for (VertexId v = 0; v < n; ++v) {
+      csr.offsets[v + 1] = csr.offsets[v] + Labels(v).size();
     }
+    csr.entries.reserve(csr.offsets.back());
+    for (VertexId v = 0; v < n; ++v) {
+      const std::span<const LabelEntry> labels = Labels(v);
+      csr.entries.insert(csr.entries.end(), labels.begin(), labels.end());
+    }
+    return csr;
   }
 
   /// Freezes the current state into a view and advances the capture

@@ -20,10 +20,8 @@ DynamicDspcIndex::DynamicDspcIndex(DiGraph graph, DiSpcIndex index,
       out_overlay_(base_->OutLabelMap()),
       in_overlay_(base_->InLabelMap()),
       options_(options),
-      obs_(options.metrics),
-      recorder_(options.flight_recorder != nullptr
-                    ? options.flight_recorder
-                    : &obs::FlightRecorder::Global()) {
+      obs_(options.metrics, options.flight_recorder),
+      built_entries_(base_->TotalEntries()) {
   PSPC_CHECK_MSG(base_->NumVertices() == base_graph_.NumVertices(),
                  "index (" << base_->NumVertices() << " vertices) does not "
                  "match graph (" << base_graph_.NumVertices() << ")");
@@ -59,8 +57,15 @@ double DynamicDspcIndex::StalenessRatio() const {
          static_cast<double>(std::max<size_t>(1, base_->TotalEntries()));
 }
 
-void DynamicDspcIndex::MaybeRebuild() {
-  if (options_.auto_rebuild && StalenessRatio() > options_.rebuild_threshold) {
+void DynamicDspcIndex::MaybeFold() {
+  if (!options_.auto_rebuild ||
+      StalenessRatio() <= options_.rebuild_threshold) {
+    return;
+  }
+  Fold();
+  if (static_cast<double>(base_->TotalEntries()) >
+      (1.0 + options_.rebuild_threshold) *
+          static_cast<double>(built_entries_)) {
     Rebuild();
   }
 }
@@ -74,32 +79,40 @@ void DynamicDspcIndex::PublishMetrics() {
                  base_->TotalEntries());
 }
 
-void DynamicDspcIndex::Rebuild() {
+void DynamicDspcIndex::Fold() { ReplaceBase(/*fold=*/true); }
+
+void DynamicDspcIndex::Rebuild() { ReplaceBase(/*fold=*/false); }
+
+void DynamicDspcIndex::ReplaceBase(bool fold) {
   WallTimer timer;
-  obs_.rebuild_in_progress()->Set(1);
-  recorder_->Record(obs::FlightEventKind::kRebuildStart, generation_,
-                    out_overlay_.OverlaidEntries() +
-                        in_overlay_.OverlaidEntries());
+  obs_.BeginBaseReplacement(
+      generation_,
+      out_overlay_.OverlaidEntries() + in_overlay_.OverlaidEntries(), fold);
   DiGraph current = graph_.Materialize();
-  DiPspcBuildResult result = BuildDirectedPspcIndex(
-      current, DirectedDegreeOrder(current), options_.rebuild_options);
+  // A fresh shared base either way: snapshots captured from the old
+  // generation keep the retired label arrays alive through their
+  // shared_ptr.
+  if (fold) {
+    base_ = std::make_shared<const DiSpcIndex>(
+        order_, out_overlay_.Materialize(), in_overlay_.Materialize());
+  } else {
+    base_ = std::make_shared<const DiSpcIndex>(
+        BuildDirectedPspcIndex(current, DirectedDegreeOrder(current),
+                               options_.rebuild_options)
+            .index);
+    order_ = base_->Order();
+    built_entries_ = base_->TotalEntries();
+  }
   base_graph_ = std::move(current);
-  // A fresh shared base: snapshots captured from the old generation
-  // keep the retired label arrays alive through their shared_ptr.
-  base_ = std::make_shared<const DiSpcIndex>(std::move(result.index));
-  order_ = base_->Order();
   graph_.Rebase(&base_graph_);
   out_overlay_.Rebase(base_->OutLabelMap());
   in_overlay_.Rebase(base_->InLabelMap());
   ++generation_;
   ++stats_.rebuilds;
+  if (fold) ++stats_.folds;
   const double elapsed = timer.ElapsedSeconds();
   stats_.rebuild_seconds += elapsed;
-  obs_.rebuild_us()->Record(elapsed * 1e6);
-  obs_.rebuild_in_progress()->Set(0);
-  recorder_->Record(obs::FlightEventKind::kRebuildEnd, generation_,
-                    static_cast<uint64_t>(elapsed * 1e6),
-                    base_->TotalEntries());
+  obs_.EndBaseReplacement(generation_, elapsed, base_->TotalEntries(), fold);
   PublishMetrics();
 }
 
@@ -116,7 +129,7 @@ Status DynamicDspcIndex::InsertEdge(VertexId u, VertexId v) {
   stats_.last_repair_us = (stats_.repair_seconds - repair_before) * 1e6;
   ++stats_.insertions_applied;
   ++generation_;
-  MaybeRebuild();
+  MaybeFold();
   PublishMetrics();
   return Status::OK();
 }
@@ -137,7 +150,7 @@ Status DynamicDspcIndex::DeleteEdge(VertexId u, VertexId v) {
   stats_.last_repair_us = (stats_.repair_seconds - repair_before) * 1e6;
   ++stats_.deletions_applied;
   ++generation_;
-  MaybeRebuild();
+  MaybeFold();
   PublishMetrics();
   return Status::OK();
 }
@@ -204,7 +217,7 @@ Status DynamicDspcIndex::ApplyBatch(const EdgeUpdateBatch& batch) {
   stats_.insertions_applied += plan.net_insertions.size();
   stats_.deletions_applied += plan.net_deletions.size();
   ++generation_;  // one published generation per batch
-  MaybeRebuild();
+  MaybeFold();
   PublishMetrics();
   return Status::OK();
 }

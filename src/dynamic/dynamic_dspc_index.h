@@ -58,9 +58,11 @@
 ///    batch.
 ///
 /// The maintained-label invariant and the staleness policy carry over
-/// from `DynamicSpcIndex` verbatim (stale entries record strictly
+/// from `DynamicSpcIndex` verbatim: stale entries record strictly
 /// longer distances, so queries stay exact while both overlays slowly
-/// accrete; a rebuild through the directed builder folds them away).
+/// accrete; past the threshold both label sides fold into a fresh
+/// `DiSpcIndex` under the unchanged order, and only a folded base that
+/// outgrows the last full build re-runs the directed builder.
 ///
 /// Threading: externally single-threaded, like the undirected index.
 /// Concurrent serving goes through `src/serve/`: `IndexSnapshot`
@@ -69,13 +71,15 @@
 namespace pspc {
 
 struct DynamicDiOptions {
-  /// Rebuild when `overlay entries / base entries` exceeds this.
+  /// Fold when `overlay entries / base entries` exceeds this; rebuild
+  /// in full when a folded base holds more than `(1 + this) x` the
+  /// entries of the last full build.
   double rebuild_threshold = 0.25;
-  /// When false, StalenessRatio still grows but nothing auto-rebuilds
-  /// (callers drive Rebuild() themselves).
+  /// When false, StalenessRatio still grows but nothing folds or
+  /// rebuilds on its own (callers drive Fold()/Rebuild() themselves).
   bool auto_rebuild = true;
-  /// Pipeline used for staleness rebuilds (ordering recomputed from
-  /// the current graph via DirectedDegreeOrder).
+  /// Pipeline used for full rebuilds (ordering recomputed from the
+  /// current graph via DirectedDegreeOrder).
   DiPspcOptions rebuild_options;
   /// Threads for the erasure-sweep parallel-for (<= 0: all cores).
   int num_threads = 0;
@@ -83,8 +87,8 @@ struct DynamicDiOptions {
   /// from `Stats()`, stage-timing histograms, overlay gauges; both
   /// overlay sides summed). Null selects the process-global registry.
   obs::MetricsRegistry* metrics = nullptr;
-  /// Flight recorder receiving rebuild start/end events. Null selects
-  /// the process-global one.
+  /// Flight recorder receiving fold/rebuild start/end events. Null
+  /// selects the process-global one.
   obs::FlightRecorder* flight_recorder = nullptr;
 };
 
@@ -176,7 +180,13 @@ class DynamicDspcIndex {
   /// staleness policy compares against `rebuild_threshold`.
   double StalenessRatio() const;
 
-  /// Forces the full rebuild the staleness policy would trigger.
+  /// Folds base (+) overlay, both label sides, into a fresh base under
+  /// the unchanged order and empties both overlays. Queries answer
+  /// identically before and after. Bumps the generation.
+  void Fold();
+
+  /// Re-orders and re-builds the base from the current graph. Bumps
+  /// the generation.
   void Rebuild();
 
   VertexId NumVertices() const { return graph_.NumVertices(); }
@@ -197,12 +207,12 @@ class DynamicDspcIndex {
   DiGraph MaterializeGraph() const { return graph_.Materialize(); }
 
   /// Monotone label-state version: bumped by every applied update
-  /// (once per coalesced batch) and every rebuild.
+  /// (once per coalesced batch), every fold and every rebuild.
   uint64_t Generation() const { return generation_; }
 
   /// Shared ownership of the current immutable base. Snapshots hold
-  /// this so a later Rebuild cannot free the label arrays out from
-  /// under an epoch still reading them.
+  /// this so a later fold or rebuild cannot free the label arrays out
+  /// from under an epoch still reading them.
   std::shared_ptr<const DiSpcIndex> SharedBaseIndex() const { return base_; }
 
   /// Freezes one overlay side into a structurally shared view and
@@ -231,7 +241,11 @@ class DynamicDspcIndex {
     return {&graph_, &out_overlay_, &in_overlay_, &order_};
   }
 
-  void MaybeRebuild();
+  /// The staleness policy (class comment); tail of every mutation.
+  void MaybeFold();
+  /// Fold (`fold`) or full rebuild, timed and booked as one base
+  /// replacement.
+  void ReplaceBase(bool fold);
   /// Mirrors `stats_` deltas into the registry and refreshes the
   /// overlay/generation gauges; tail of every public mutation.
   void PublishMetrics();
@@ -253,8 +267,8 @@ class DynamicDspcIndex {
   DynamicDiOptions options_;
   DynamicStats stats_;
   obs::DynamicStatsExporter obs_;
-  obs::FlightRecorder* recorder_;
   uint64_t generation_ = 0;
+  size_t built_entries_ = 0;  // base entries of the last full build
 
   RepairScratch scratch_;
 };

@@ -25,7 +25,7 @@ std::string DynamicStats::ToString() const {
       << " hub runs committed, " << deferred_hub_runs << " deferred\n"
       << "labels:  " << entries_inserted << " inserted, " << entries_renewed
       << " renewed, " << entries_erased << " erased\n"
-      << "rebuilds: " << rebuilds << "\n"
+      << "rebuilds: " << rebuilds << " (" << folds << " folds)\n"
       << "time: repair " << repair_seconds << "s, rebuild "
       << rebuild_seconds << "s";
   return oss.str();
@@ -39,10 +39,8 @@ DynamicSpcIndex::DynamicSpcIndex(Graph graph, SpcIndex index,
       graph_(&base_graph_),
       overlay_(base_->LabelMap()),
       options_(options),
-      obs_(options.metrics),
-      recorder_(options.flight_recorder != nullptr
-                    ? options.flight_recorder
-                    : &obs::FlightRecorder::Global()) {
+      obs_(options.metrics, options.flight_recorder),
+      built_entries_(base_->TotalEntries()) {
   PSPC_CHECK_MSG(base_->NumVertices() == base_graph_.NumVertices(),
                  "index (" << base_->NumVertices() << " vertices) does not "
                  "match graph (" << base_graph_.NumVertices() << ")");
@@ -79,8 +77,15 @@ double DynamicSpcIndex::StalenessRatio() const {
          static_cast<double>(std::max<size_t>(1, base_->TotalEntries()));
 }
 
-void DynamicSpcIndex::MaybeRebuild() {
-  if (options_.auto_rebuild && StalenessRatio() > options_.rebuild_threshold) {
+void DynamicSpcIndex::MaybeFold() {
+  if (!options_.auto_rebuild ||
+      StalenessRatio() <= options_.rebuild_threshold) {
+    return;
+  }
+  Fold();
+  if (static_cast<double>(base_->TotalEntries()) >
+      (1.0 + options_.rebuild_threshold) *
+          static_cast<double>(built_entries_)) {
     Rebuild();
   }
 }
@@ -91,29 +96,33 @@ void DynamicSpcIndex::PublishMetrics() {
                  overlay_.OverlaidVertices(), base_->TotalEntries());
 }
 
-void DynamicSpcIndex::Rebuild() {
+void DynamicSpcIndex::Fold() { ReplaceBase(/*fold=*/true); }
+
+void DynamicSpcIndex::Rebuild() { ReplaceBase(/*fold=*/false); }
+
+void DynamicSpcIndex::ReplaceBase(bool fold) {
   WallTimer timer;
-  obs_.rebuild_in_progress()->Set(1);
-  recorder_->Record(obs::FlightEventKind::kRebuildStart, generation_,
-                    overlay_.OverlaidEntries());
+  obs_.BeginBaseReplacement(generation_, overlay_.OverlaidEntries(), fold);
   Graph current = graph_.Materialize();
-  BuildResult result = BuildIndex(current, options_.rebuild_options);
+  // A fresh shared base either way: snapshots captured from the old
+  // generation keep the retired CSR alive through their shared_ptr.
+  if (fold) {
+    base_ = std::make_shared<const SpcIndex>(order_, overlay_.Materialize());
+  } else {
+    base_ = std::make_shared<const SpcIndex>(
+        BuildIndex(current, options_.rebuild_options).index);
+    order_ = base_->Order();
+    built_entries_ = base_->TotalEntries();
+  }
   base_graph_ = std::move(current);
-  // A fresh shared base: snapshots captured from the old generation
-  // keep the retired CSR alive through their shared_ptr.
-  base_ = std::make_shared<const SpcIndex>(std::move(result.index));
-  order_ = base_->Order();
   graph_.Rebase(&base_graph_);
   overlay_.Rebase(base_->LabelMap());
   ++generation_;
   ++stats_.rebuilds;
+  if (fold) ++stats_.folds;
   const double elapsed = timer.ElapsedSeconds();
   stats_.rebuild_seconds += elapsed;
-  obs_.rebuild_us()->Record(elapsed * 1e6);
-  obs_.rebuild_in_progress()->Set(0);
-  recorder_->Record(obs::FlightEventKind::kRebuildEnd, generation_,
-                    static_cast<uint64_t>(elapsed * 1e6),
-                    base_->TotalEntries());
+  obs_.EndBaseReplacement(generation_, elapsed, base_->TotalEntries(), fold);
   PublishMetrics();
 }
 
@@ -130,7 +139,7 @@ Status DynamicSpcIndex::InsertEdge(VertexId u, VertexId v) {
   stats_.last_repair_us = (stats_.repair_seconds - repair_before) * 1e6;
   ++stats_.insertions_applied;
   ++generation_;
-  MaybeRebuild();
+  MaybeFold();
   PublishMetrics();
   return Status::OK();
 }
@@ -151,7 +160,7 @@ Status DynamicSpcIndex::DeleteEdge(VertexId u, VertexId v) {
   stats_.last_repair_us = (stats_.repair_seconds - repair_before) * 1e6;
   ++stats_.deletions_applied;
   ++generation_;
-  MaybeRebuild();
+  MaybeFold();
   PublishMetrics();
   return Status::OK();
 }

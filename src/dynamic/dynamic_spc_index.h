@@ -83,10 +83,16 @@
 /// active defense: a grown pair distance can *meet* a stale entry's
 /// recorded distance, so any hub whose distance to the opposite region
 /// grew re-runs whenever an opposite label still holds an entry for it
-/// (see the task assembly in RepairDeletion). The staleness policy
-/// watches the overlay size and folds everything into a fresh rebuild
-/// (through the standard builder_facade pipeline, re-ordering
-/// included) past a threshold.
+/// (see the task assembly in RepairDeletion).
+///
+/// The staleness policy watches the overlay size. Past
+/// `rebuild_threshold` it **folds**: base (+) overlay is copied into a
+/// fresh CSR base under the unchanged order (`Fold()`, a linear pass —
+/// the repaired labels are already exact under that order), and the
+/// overlay empties. Only once a folded base outgrows the last full
+/// build by the same factor does it **rebuild** (the builder_facade
+/// pipeline, re-ordering included), which bounds the build-up of
+/// merge-neutral stale entries without any sweep.
 ///
 /// Scope: unweighted undirected graphs over a fixed vertex universe
 /// `[0, n)`; saturated counts remain saturating (as everywhere in the
@@ -104,13 +110,15 @@
 namespace pspc {
 
 struct DynamicOptions {
-  /// Rebuild when `overlay entries / base entries` exceeds this.
+  /// Fold when `overlay entries / base entries` exceeds this; rebuild
+  /// in full when a folded base holds more than `(1 + this) x` the
+  /// entries of the last full build.
   double rebuild_threshold = 0.25;
-  /// When false, StalenessRatio still grows but nothing auto-rebuilds
-  /// (callers drive Rebuild() themselves).
+  /// When false, StalenessRatio still grows but nothing folds or
+  /// rebuilds on its own (callers drive Fold()/Rebuild() themselves).
   bool auto_rebuild = true;
-  /// Pipeline used for staleness rebuilds (ordering recomputed from
-  /// the current graph, construction parallel per these options).
+  /// Pipeline used for full rebuilds (ordering recomputed from the
+  /// current graph, construction parallel per these options).
   BuildOptions rebuild_options;
   /// Threads for the parallel repair phases (<= 0: all cores).
   int num_threads = 0;
@@ -121,8 +129,8 @@ struct DynamicOptions {
   /// from `Stats()`, stage-timing histograms, overlay gauges).
   /// Null selects the process-global registry.
   obs::MetricsRegistry* metrics = nullptr;
-  /// Flight recorder receiving rebuild start/end events. Null selects
-  /// the process-global one.
+  /// Flight recorder receiving fold/rebuild start/end events. Null
+  /// selects the process-global one.
   obs::FlightRecorder* flight_recorder = nullptr;
 };
 
@@ -169,7 +177,13 @@ class DynamicSpcIndex {
   /// policy compares against `rebuild_threshold`.
   double StalenessRatio() const;
 
-  /// Forces the full rebuild the staleness policy would trigger.
+  /// Folds base (+) overlay into a fresh base under the unchanged
+  /// order and empties the overlay (see the class comment). Queries
+  /// answer identically before and after. Bumps the generation.
+  void Fold();
+
+  /// Re-orders and re-builds the base from the current graph. Bumps
+  /// the generation.
   void Rebuild();
 
   VertexId NumVertices() const { return graph_.NumVertices(); }
@@ -187,15 +201,15 @@ class DynamicSpcIndex {
   Graph MaterializeGraph() const { return graph_.Materialize(); }
 
   /// Monotone label-state version: bumped by every applied update
-  /// (once per coalesced batch) and every rebuild.
+  /// (once per coalesced batch), every fold and every rebuild.
   /// `IndexSnapshot::Capture` tags snapshots with it so the serving
   /// layer can tell whether anything changed since the last published
   /// generation.
   uint64_t Generation() const { return generation_; }
 
   /// Shared ownership of the current immutable base. Snapshots hold
-  /// this so a later Rebuild cannot free the CSR arrays out from under
-  /// an epoch still reading them.
+  /// this so a later fold or rebuild cannot free the CSR arrays out
+  /// from under an epoch still reading them.
   std::shared_ptr<const SpcIndex> SharedBaseIndex() const { return base_; }
 
   /// Freezes the overlay into a structurally shared view and advances
@@ -212,11 +226,6 @@ class DynamicSpcIndex {
   const DynamicOptions& Options() const { return options_; }
 
  private:
-  // The overlay compactor (src/dynamic/compaction.h) is the one
-  // component allowed behind the single-writer facade: it folds the
-  // overlay into a fresh base on the writer's thread of control.
-  friend class OverlayCompactor;
-
   // The repair scratch, staged-write sink, region/seed/side types, and
   // the BFS kernels themselves are the direction-generic machinery of
   // repair_core.h; this class binds them to the symmetric view.
@@ -254,7 +263,11 @@ class DynamicSpcIndex {
   struct DeletedEdgePlan;
 
   void InitScratch();
-  void MaybeRebuild();
+  /// The staleness policy (class comment); tail of every mutation.
+  void MaybeFold();
+  /// Fold (`fold`) or full rebuild, timed and booked as one base
+  /// replacement.
+  void ReplaceBase(bool fold);
   /// Mirrors `stats_` deltas into the registry and refreshes the
   /// overlay/generation gauges; tail of every public mutation.
   void PublishMetrics();
@@ -333,8 +346,8 @@ class DynamicSpcIndex {
   DynamicOptions options_;
   DynamicStats stats_;
   obs::DynamicStatsExporter obs_;
-  obs::FlightRecorder* recorder_;
   uint64_t generation_ = 0;
+  size_t built_entries_ = 0;  // base entries of the last full build
 
   RepairScratch scratch_;                    // sequential paths
   std::vector<RepairScratch> scratch_pool_;  // parallel waves (lazy)

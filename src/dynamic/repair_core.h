@@ -70,7 +70,13 @@ struct DynamicStats {
   size_t entries_inserted = 0;
   size_t entries_renewed = 0;
   size_t entries_erased = 0;
+  /// Base replacements of either kind (folds + full rebuilds); their
+  /// wall time is `rebuild_seconds`.
   size_t rebuilds = 0;
+  /// The subset of `rebuilds` that were folds (base (+) overlay
+  /// materialized under the unchanged order); the rest re-ordered and
+  /// re-built.
+  size_t folds = 0;
   size_t batches_applied = 0;    ///< ApplyBatch calls that validated
   size_t updates_coalesced = 0;  ///< batch updates dropped as no-ops
   size_t parallel_waves = 0;     ///< thread-pool waves launched

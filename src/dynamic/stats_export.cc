@@ -5,8 +5,10 @@
 namespace pspc {
 namespace obs {
 
-DynamicStatsExporter::DynamicStatsExporter(MetricsRegistry* registry)
+DynamicStatsExporter::DynamicStatsExporter(MetricsRegistry* registry,
+                                           FlightRecorder* recorder)
     : registry_(registry != nullptr ? registry : &MetricsRegistry::Global()),
+      recorder_(recorder != nullptr ? recorder : &FlightRecorder::Global()),
       insertions_applied_(
           registry_->GetCounter(kDynamicInsertionsAppliedTotal)),
       deletions_applied_(registry_->GetCounter(kDynamicDeletionsAppliedTotal)),
@@ -22,6 +24,7 @@ DynamicStatsExporter::DynamicStatsExporter(MetricsRegistry* registry)
       parallel_hub_runs_(registry_->GetCounter(kDynamicParallelHubRunsTotal)),
       deferred_hub_runs_(registry_->GetCounter(kDynamicDeferredHubRunsTotal)),
       rebuilds_(registry_->GetCounter(kDynamicRebuildsTotal)),
+      folds_(registry_->GetCounter(kDynamicFoldsTotal)),
       generation_(registry_->GetGauge(kDynamicGeneration)),
       overlay_entries_(registry_->GetGauge(kDynamicOverlayEntries)),
       overlay_vertices_(registry_->GetGauge(kDynamicOverlayVertices)),
@@ -51,7 +54,27 @@ void DynamicStatsExporter::ExportDelta(const DynamicStats& now) {
   push(parallel_hub_runs_, now.parallel_hub_runs, last_.parallel_hub_runs);
   push(deferred_hub_runs_, now.deferred_hub_runs, last_.deferred_hub_runs);
   push(rebuilds_, now.rebuilds, last_.rebuilds);
+  push(folds_, now.folds, last_.folds);
   last_ = now;
+}
+
+void DynamicStatsExporter::BeginBaseReplacement(uint64_t generation,
+                                                size_t overlay_entries,
+                                                bool fold) {
+  rebuild_in_progress_->Set(1);
+  recorder_->Record(FlightEventKind::kRebuildStart, generation,
+                    overlay_entries, fold ? 1 : 0);
+}
+
+void DynamicStatsExporter::EndBaseReplacement(uint64_t generation,
+                                              double seconds,
+                                              size_t base_entries,
+                                              bool fold) {
+  rebuild_us_->Record(seconds * 1e6);
+  rebuild_in_progress_->Set(0);
+  recorder_->Record(FlightEventKind::kRebuildEnd, generation,
+                    static_cast<uint64_t>(seconds * 1e6), base_entries,
+                    fold ? 1 : 0);
 }
 
 void DynamicStatsExporter::SetGauges(uint64_t generation,

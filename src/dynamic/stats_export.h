@@ -5,6 +5,7 @@
 #include <cstdint>
 
 #include "src/dynamic/repair_core.h"
+#include "src/obs/flight_recorder.h"
 #include "src/obs/metrics.h"
 
 /// Bridges the dynamic layer's `DynamicStats` into the metrics
@@ -19,15 +20,17 @@
 /// at every quiesce point by construction.
 ///
 /// The exporter also owns the dynamic layer's stage-timing histograms
-/// (plan/repair/rebuild) and point-in-time gauges (generation, overlay
-/// size) so each index wires exactly one object.
+/// (plan/repair/rebuild), point-in-time gauges (generation, overlay
+/// size) and the flight-recorder events bracketing each base
+/// replacement, so each index wires exactly one object.
 namespace pspc {
 namespace obs {
 
 class DynamicStatsExporter {
  public:
-  /// `registry == nullptr` selects the process-global registry.
-  explicit DynamicStatsExporter(MetricsRegistry* registry = nullptr);
+  /// Null `registry` / `recorder` select the process-global ones.
+  explicit DynamicStatsExporter(MetricsRegistry* registry = nullptr,
+                                FlightRecorder* recorder = nullptr);
 
   DynamicStatsExporter(const DynamicStatsExporter&) = delete;
   DynamicStatsExporter& operator=(const DynamicStatsExporter&) = delete;
@@ -42,22 +45,28 @@ class DynamicStatsExporter {
   void SetGauges(uint64_t generation, size_t overlay_entries,
                  size_t overlay_vertices, size_t base_entries);
 
-  /// 1 while a staleness rebuild is running, 0 otherwise — the health
-  /// watchdog reports a long-running rebuild as DEGRADED rather than
-  /// misreading its publish gap as a stall.
-  Gauge* rebuild_in_progress() const { return rebuild_in_progress_; }
+  /// Bracket one base replacement — a fold (`fold`) or a full
+  /// rebuild. Begin raises `dynamic.rebuild_in_progress` (the health
+  /// watchdog reports a long replacement as DEGRADED rather than
+  /// misreading its publish gap as a stall) and records a
+  /// `rebuild_start` event; End records the wall time into
+  /// `dynamic.rebuild_us`, lowers the gauge and records `rebuild_end`.
+  /// Both events carry `fold` (1 = fold, 0 = full build).
+  void BeginBaseReplacement(uint64_t generation, size_t overlay_entries,
+                            bool fold);
+  void EndBaseReplacement(uint64_t generation, double seconds,
+                          size_t base_entries, bool fold);
 
   /// Stage-timing histograms (microseconds) the index records into
-  /// directly: batch-plan validation/coalescing, label repair, and
-  /// staleness rebuild.
+  /// directly: batch-plan validation/coalescing and label repair.
   Histogram* plan_us() const { return plan_us_; }
   Histogram* repair_us() const { return repair_us_; }
-  Histogram* rebuild_us() const { return rebuild_us_; }
 
   MetricsRegistry* registry() const { return registry_; }
 
  private:
   MetricsRegistry* registry_;
+  FlightRecorder* recorder_;
   DynamicStats last_{};
 
   Counter* insertions_applied_;
@@ -74,6 +83,7 @@ class DynamicStatsExporter {
   Counter* parallel_hub_runs_;
   Counter* deferred_hub_runs_;
   Counter* rebuilds_;
+  Counter* folds_;
 
   Gauge* generation_;
   Gauge* overlay_entries_;

@@ -2,6 +2,7 @@
 #define PSPC_SRC_LABEL_LABEL_ENTRY_H_
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <vector>
@@ -55,6 +56,15 @@ struct BaseLabelMap {
   std::span<const LabelEntry> Labels(VertexId v) const {
     return {entries + offsets[v], entries + offsets[v + 1]};
   }
+};
+
+/// An owning CSR label table: vertex `v`'s rank-sorted entries are
+/// `entries[offsets[v] .. offsets[v + 1])`. It is what `SpcIndex` (and
+/// each side of `DiSpcIndex`) is assembled from, and what a dynamic
+/// overlay fold materializes (`ChunkedOverlay::Materialize`).
+struct LabelCsr {
+  std::vector<uint64_t> offsets;  // n + 1
+  std::vector<LabelEntry> entries;
 };
 
 /// One vertex's rank-sorted label list as a shareable unit — the

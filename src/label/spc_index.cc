@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <fstream>
+#include <utility>
 
 #include "src/common/logging.h"
 #include "src/label/label_merge.h"
@@ -19,21 +20,30 @@ constexpr uint64_t kEntryBytes = sizeof(Rank) + sizeof(Distance) +
 
 }  // namespace
 
+LabelCsr FlattenLabels(std::vector<std::vector<LabelEntry>> labels) {
+  LabelCsr csr;
+  csr.offsets.assign(labels.size() + 1, 0);
+  for (size_t v = 0; v < labels.size(); ++v) {
+    csr.offsets[v + 1] = csr.offsets[v] + labels[v].size();
+  }
+  csr.entries.reserve(csr.offsets.back());
+  for (auto& list : labels) {
+    std::sort(list.begin(), list.end(), ByHubRank);
+    csr.entries.insert(csr.entries.end(), list.begin(), list.end());
+  }
+  return csr;
+}
+
 SpcIndex::SpcIndex(VertexOrder order,
                    std::vector<std::vector<LabelEntry>> labels)
-    : order_(std::move(order)) {
-  PSPC_CHECK(labels.size() == order_.Size());
-  offsets_.assign(labels.size() + 1, 0);
-  size_t total = 0;
-  for (size_t v = 0; v < labels.size(); ++v) {
-    total += labels[v].size();
-    offsets_[v + 1] = total;
-  }
-  entries_.reserve(total);
-  for (auto& vec : labels) {
-    std::sort(vec.begin(), vec.end(), ByHubRank);
-    entries_.insert(entries_.end(), vec.begin(), vec.end());
-  }
+    : SpcIndex(std::move(order), FlattenLabels(std::move(labels))) {}
+
+SpcIndex::SpcIndex(VertexOrder order, LabelCsr labels)
+    : order_(std::move(order)),
+      offsets_(std::move(labels.offsets)),
+      entries_(std::move(labels.entries)) {
+  PSPC_CHECK(offsets_.size() == order_.Size() + 1);
+  PSPC_CHECK(offsets_.back() == entries_.size());
 }
 
 SpcResult SpcIndex::Query(VertexId s, VertexId t) const {

@@ -21,6 +21,10 @@
 /// highest-ranked vertex.
 namespace pspc {
 
+/// Flattens per-vertex entry lists (any order within a list) into a
+/// CSR table, sorting each list by hub rank.
+LabelCsr FlattenLabels(std::vector<std::vector<LabelEntry>> labels);
+
 class SpcIndex {
  public:
   /// Empty index (queries abort); use a builder from src/core/.
@@ -30,6 +34,10 @@ class SpcIndex {
   /// sorted by hub rank and flattened. `labels.size()` must equal
   /// `order.Size()`.
   SpcIndex(VertexOrder order, std::vector<std::vector<LabelEntry>> labels);
+
+  /// Adopts an already rank-sorted CSR table; `labels.offsets.size()`
+  /// must equal `order.Size() + 1`.
+  SpcIndex(VertexOrder order, LabelCsr labels);
 
   /// Number of indexed vertices.
   VertexId NumVertices() const {

@@ -22,8 +22,8 @@ constexpr KindInfo kKindInfo[] = {
     {"none", {}},
     {"publish", {"generation", "copied_vertices", "retired_pending", ""}},
     {"reclaim", {"freed", "remaining", "micros", ""}},
-    {"rebuild_start", {"generation", "overlay_entries", "", ""}},
-    {"rebuild_end", {"generation", "micros", "base_entries", ""}},
+    {"rebuild_start", {"generation", "overlay_entries", "fold", ""}},
+    {"rebuild_end", {"generation", "micros", "base_entries", "fold"}},
     {"batch_apply", {"batch_id", "submitted", "applied", "micros"}},
     {"health_transition", {"from_status", "to_status", "rule_id", ""}},
     {"queue_high_water", {"depth", "capacity", "", ""}},

@@ -39,8 +39,8 @@ enum class FlightEventKind : uint32_t {
   kNone = 0,           ///< unwritten slot
   kPublish,            ///< generation, copied_vertices, retired_pending
   kReclaim,            ///< freed, remaining, micros
-  kRebuildStart,       ///< generation, overlay_entries
-  kRebuildEnd,         ///< generation, micros, base_entries
+  kRebuildStart,       ///< generation, overlay_entries, fold (1 = fold)
+  kRebuildEnd,         ///< generation, micros, base_entries, fold
   kBatchApply,         ///< batch_id, submitted, applied, micros
   kHealthTransition,   ///< from_status, to_status, rule_id
   kQueueHighWater,     ///< depth, capacity

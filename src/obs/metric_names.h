@@ -44,12 +44,6 @@ inline constexpr char kServeTracesSampledTotal[] =
 inline constexpr char kServeTracesSlowTotal[] = "serve.traces_slow_total";
 inline constexpr char kServeLabelBytesMergedTotal[] =
     "serve.label_bytes.merged_total";
-inline constexpr char kServeCompactionStepsTotal[] =
-    "serve.compaction.steps_total";
-inline constexpr char kServeCompactionFoldsTotal[] =
-    "serve.compaction.folds_total";
-inline constexpr char kServeCompactionEntriesPrunedTotal[] =
-    "serve.compaction.entries_pruned_total";
 
 inline constexpr char kServePublishedGeneration[] =
     "serve.published_generation";
@@ -75,7 +69,6 @@ inline constexpr char kServePublishCopiedVertices[] =
 inline constexpr char kServeReaderPinUs[] = "serve.reader_pin_us";
 inline constexpr char kServeLabelBytesPerQuery[] =
     "serve.label_bytes.per_query";
-inline constexpr char kServeCompactionStepUs[] = "serve.compaction.step_us";
 
 // ------------------------------------------------------ dynamic layer
 inline constexpr char kDynamicInsertionsAppliedTotal[] =
@@ -105,6 +98,7 @@ inline constexpr char kDynamicParallelHubRunsTotal[] =
 inline constexpr char kDynamicDeferredHubRunsTotal[] =
     "dynamic.deferred_hub_runs_total";
 inline constexpr char kDynamicRebuildsTotal[] = "dynamic.rebuilds_total";
+inline constexpr char kDynamicFoldsTotal[] = "dynamic.folds_total";
 
 inline constexpr char kDynamicGeneration[] = "dynamic.generation";
 inline constexpr char kDynamicOverlayEntries[] = "dynamic.overlay_entries";
@@ -136,9 +130,6 @@ inline constexpr std::string_view kCounterNames[] = {
     kServeTracesSampledTotal,
     kServeTracesSlowTotal,
     kServeLabelBytesMergedTotal,
-    kServeCompactionStepsTotal,
-    kServeCompactionFoldsTotal,
-    kServeCompactionEntriesPrunedTotal,
     kDynamicInsertionsAppliedTotal,
     kDynamicDeletionsAppliedTotal,
     kDynamicBatchesAppliedTotal,
@@ -153,6 +144,7 @@ inline constexpr std::string_view kCounterNames[] = {
     kDynamicParallelHubRunsTotal,
     kDynamicDeferredHubRunsTotal,
     kDynamicRebuildsTotal,
+    kDynamicFoldsTotal,
     kObsHealthTransitionsTotal,
 };
 
@@ -182,7 +174,6 @@ inline constexpr std::string_view kHistogramNames[] = {
     kServePublishCopiedVertices,
     kServeReaderPinUs,
     kServeLabelBytesPerQuery,
-    kServeCompactionStepUs,
     kDynamicPlanUs,
     kDynamicRepairUs,
     kDynamicRebuildUs,
@@ -208,7 +199,6 @@ inline constexpr std::string_view kRequiredServeMetrics[] = {
     kServeReaderPinUs,
     kServeLabelBytesMergedTotal,
     kServeLabelBytesPerQuery,
-    kServeCompactionStepsTotal,
 };
 
 /// Names any run that applied updates through a dynamic index must

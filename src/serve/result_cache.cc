@@ -47,7 +47,11 @@ uint64_t ResultCache::PairKey(VertexId s, VertexId t) const {
 
 bool ResultCache::Lookup(uint64_t generation, VertexId s, VertexId t,
                          SpcResult* out) {
-  if (capacity_per_shard_ == 0) return false;
+  if (capacity_per_shard_ == 0) {
+    // relaxed: diagnostic tally. A disabled cache misses every lookup.
+    misses_.fetch_add(1, std::memory_order_relaxed);
+    return false;
+  }
   const uint64_t key = PairKey(s, t);
   Shard& shard = ShardFor(key);
   spc::MutexLock lock(shard.mu);

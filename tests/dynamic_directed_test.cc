@@ -325,24 +325,27 @@ TEST(DirectedApplyBatchTest, CancelingPairsAreNoOpsAndOneBumpPerBatch) {
   EXPECT_EQ(index.Generation(), gen0 + 1);  // one bump for the batch
 }
 
-// ------------------------------------------------------- rebuild path
+// ---------------------------------------------------------- fold path
 
-TEST(DynamicDspcTest, StalenessRebuildStaysExact) {
+TEST(DynamicDspcTest, StalenessFoldsStayExactUnderTheSameOrder) {
   const DiGraph start = GenerateRandomDiGraph(28, 110, 77);
   DynamicDiOptions options;
-  options.rebuild_threshold = 0.05;  // rebuild early and often
+  options.rebuild_threshold = 0.05;  // fold early and often
   DynamicDspcIndex index(start, DiPspcOptions{}, options);
+  const VertexOrder order = index.Order();
   DiEdgeMirror mirror(start);
   Rng rng(78);
 
   for (int step = 0; step < 30; ++step) {
     const EdgeUpdateBatch one = mirror.SampleBatch(rng, 1);
     ASSERT_TRUE(index.Apply(one.Updates()[0]).ok()) << "step " << step;
+    // A fold empties both overlays whenever the ratio passes 0.05.
+    EXPECT_LE(index.StalenessRatio(), 0.05) << "step " << step;
   }
-  ExpectAllPairsExact(index, mirror.Materialize(), "after rebuild stream");
-  EXPECT_GT(index.Stats().rebuilds, 0u);
-  // A rebuild folds both overlays away.
-  EXPECT_LE(index.StalenessRatio(), 0.05);
+  ExpectAllPairsExact(index, mirror.Materialize(), "after fold stream");
+  EXPECT_GT(index.Stats().folds, 0u);
+  EXPECT_EQ(index.Stats().rebuilds, index.Stats().folds);
+  EXPECT_EQ(index.Order(), order);
 }
 
 }  // namespace

@@ -1,10 +1,13 @@
-// Concurrent-correctness stress for background overlay compaction,
-// written to run clean under ThreadSanitizer (CI runs every serving_*
-// test in the tsan lane): reader threads hammer the engine while the
-// writer applies a randomized update stream AND the engine's own
-// compaction thread folds the overlay between captures. At every
-// quiesce point served answers must be oracle-exact — compaction is a
-// representation change, never a result change.
+// Concurrent-correctness tests for folds published through the serving
+// engine, written to run clean under ThreadSanitizer (CI runs every
+// serving_* test in the tsan lane). The dynamic index folds its overlay
+// into a fresh base on the tail of an ApplyBatch once the overlay
+// passes the staleness threshold; ApplyUpdates then publishes that
+// fresh base as the batch's snapshot. Reader threads hammer the engine
+// throughout, and at every quiesce point served answers must be
+// oracle-exact — a fold is a representation change, never a result
+// change. All OpenMP knobs are pinned to one thread (libgomp is not
+// TSan-instrumented; a team of one never spawns).
 
 #include <gtest/gtest.h>
 
@@ -15,9 +18,11 @@
 #include <vector>
 
 #include "src/baseline/bfs_spc.h"
-#include "src/common/mutex.h"
 #include "src/common/random.h"
 #include "src/core/builder_facade.h"
+#include "src/digraph/dbfs_spc.h"
+#include "src/digraph/digraph.h"
+#include "src/dynamic/dynamic_dspc_index.h"
 #include "src/dynamic/dynamic_spc_index.h"
 #include "src/dynamic/edge_update.h"
 #include "src/graph/generators.h"
@@ -41,32 +46,40 @@ BuildOptions SmallBuild() {
   return build;
 }
 
-ServingOptions CompactingServingOptions() {
+/// The default policy: fold once the overlay holds 25% of the base.
+/// These streams cross it several times while the folded base stays
+/// within 1.25x of the initial build, so every base swap is a fold.
+DynamicOptions EagerFoldOptions() {
+  DynamicOptions dynamic;
+  dynamic.rebuild_threshold = 0.25;
+  dynamic.rebuild_options = SmallBuild();
+  dynamic.num_threads = 1;
+  return dynamic;
+}
+
+ServingOptions SmallServing() {
   ServingOptions serving;
   serving.num_workers = 2;
   serving.max_batch = 16;
-  serving.enable_compaction = true;
-  serving.compaction_interval_ms = 1;  // fire constantly under churn
-  serving.compaction.fold_staleness_ratio = 0.01;  // fold eagerly
   return serving;
 }
 
-TEST(ServingCompactionTest, ReadersExactWhileCompactionRuns) {
-  DynamicOptions dynamic;
-  dynamic.rebuild_threshold = 1e18;  // repair-only: compaction owns folds
-  dynamic.rebuild_options = SmallBuild();
-  dynamic.num_threads = 1;
-
-  const Graph graph = GenerateErdosRenyi(kN, 85, 23);
-  DynamicSpcIndex index(graph, SmallBuild(), dynamic);
-  ServingEngine engine(&index, CompactingServingOptions());
-
+std::set<std::pair<VertexId, VertexId>> EdgeSet(const Graph& graph) {
   std::set<std::pair<VertexId, VertexId>> edges;
-  for (VertexId u = 0; u < kN; ++u) {
+  for (VertexId u = 0; u < graph.NumVertices(); ++u) {
     for (const VertexId v : graph.Neighbors(u)) {
       if (u < v) edges.insert({u, v});
     }
   }
+  return edges;
+}
+
+TEST(ServingCompactionTest, ReadersExactAcrossPublishedFolds) {
+  const Graph graph = GenerateErdosRenyi(kN, 85, 23);
+  DynamicSpcIndex index(graph, SmallBuild(), EagerFoldOptions());
+  const VertexOrder order = index.Order();
+  ServingEngine engine(&index, SmallServing());
+  std::set<std::pair<VertexId, VertexId>> edges = EdgeSet(graph);
 
   std::atomic<bool> stop{false};
   std::vector<std::thread> readers;
@@ -77,8 +90,8 @@ TEST(ServingCompactionTest, ReadersExactWhileCompactionRuns) {
       while (!stop.load(std::memory_order_relaxed)) {
         const QueryBatch batch = MakeRandomQueries(kN, kReaderBatch, rng.Next());
         const std::vector<SpcResult> results = engine.SubmitBatch(batch).get();
-        // Mid-churn, mid-compaction answers are exact for *some* recent
-        // generation; the structural invariants hold for all of them.
+        // Mid-churn answers are exact for *some* recent generation,
+        // folded or not; the structural invariants hold for all.
         for (size_t i = 0; i < batch.size(); ++i) {
           const auto [s, t] = batch[i];
           if (s == t) {
@@ -115,11 +128,11 @@ TEST(ServingCompactionTest, ReadersExactWhileCompactionRuns) {
       }
     }
     ASSERT_TRUE(engine.ApplyUpdates(batch).ok());
+    // Whatever the batch ended in, its snapshot is the one published.
+    EXPECT_EQ(engine.PublishedGeneration(), index.Generation());
 
     // Quiesce: drain in-flight queries, then demand oracle-exact
-    // answers for the now-current graph. The compaction thread keeps
-    // running — by construction its folds may only change
-    // the representation, never an answer.
+    // answers for the now-current graph.
     engine.Drain();
     ASSERT_EQ(index.NumEdges(), edges.size());
     const Graph current = index.MaterializeGraph();
@@ -136,38 +149,24 @@ TEST(ServingCompactionTest, ReadersExactWhileCompactionRuns) {
   // relaxed: stop/progress flag only; thread join is the sync point.
   stop.store(true, std::memory_order_relaxed);
   for (std::thread& reader : readers) reader.join();
-
-  // Force one deterministic step before stopping so the totals below
-  // never depend on background-thread timing.
-  engine.CompactOnce();
   engine.Stop();
 
   EXPECT_EQ(oracle_mismatches, 0u);
-  const CompactionStats totals = engine.CompactionTotals();
-  EXPECT_GT(totals.folds, 0u);
+  EXPECT_GT(index.Stats().folds, 0u);
+  // Folds only: no full rebuild, so the order never moved.
+  EXPECT_EQ(index.Stats().rebuilds, index.Stats().folds);
+  EXPECT_EQ(index.Order(), order);
 }
 
-TEST(ServingCompactionTest, CompactOnceIsDeterministicAndExact) {
-  DynamicOptions dynamic;
-  dynamic.rebuild_threshold = 1e18;
-  dynamic.rebuild_options = SmallBuild();
-  dynamic.num_threads = 1;
-
+TEST(ServingCompactionTest, FoldPublishesTheFreshBase) {
   const Graph graph = GenerateWattsStrogatz(kN, 3, 0.2, 5);
-  DynamicSpcIndex index(graph, SmallBuild(), dynamic);
-  ServingOptions serving = CompactingServingOptions();
-  serving.compaction_interval_ms = 3600 * 1000;  // thread idles; we drive
-  serving.compaction.fold_staleness_ratio = 0.0;  // every step folds
-  ServingEngine engine(&index, serving);
+  DynamicSpcIndex index(graph, SmallBuild(), EagerFoldOptions());
+  ServingEngine engine(&index, SmallServing());
+  std::set<std::pair<VertexId, VertexId>> edges = EdgeSet(graph);
 
   Rng rng(61);
-  std::set<std::pair<VertexId, VertexId>> edges;
-  for (VertexId u = 0; u < kN; ++u) {
-    for (const VertexId v : graph.Neighbors(u)) {
-      if (u < v) edges.insert({u, v});
-    }
-  }
-  for (int round = 0; round < 4; ++round) {
+  size_t folding_batches = 0;
+  for (int round = 0; round < 6; ++round) {
     EdgeUpdateBatch batch;
     VertexId u, v;
     do {
@@ -176,15 +175,23 @@ TEST(ServingCompactionTest, CompactOnceIsDeterministicAndExact) {
     } while (u == v || edges.contains(std::minmax(u, v)));
     batch.Insert(u, v);
     edges.insert(std::minmax(u, v));
+    const size_t folds_before = index.Stats().folds;
     ASSERT_TRUE(engine.ApplyUpdates(batch).ok());
 
-    // The repaired overlay is non-empty, so a zero-threshold step must
-    // fold (and therefore report true).
-    EXPECT_TRUE(engine.CompactOnce());
-    // Overlay folded away: a second immediate step has nothing to do.
-    EXPECT_FALSE(engine.CompactOnce());
+    const SnapshotRef snapshot = engine.PinSnapshot();
+    EXPECT_EQ(snapshot->Generation(), index.Generation());
+    if (index.Stats().folds > folds_before) {
+      // The batch ended in a fold: readers now serve the fresh base
+      // itself — no overlay chunk, the very CSR arrays the index holds.
+      ++folding_batches;
+      EXPECT_EQ(snapshot->OverlaidVertices(), 0u);
+      for (VertexId w = 0; w < kN; ++w) {
+        ASSERT_EQ(snapshot->Labels(w).data(),
+                  index.BaseIndex().Labels(w).data())
+            << "round " << round << " vertex " << w;
+      }
+    }
 
-    engine.Drain();
     const Graph current = index.MaterializeGraph();
     const QueryBatch checks = MakeRandomQueries(kN, kOracleChecks, rng.Next());
     const std::vector<SpcResult> served = engine.SubmitBatch(checks).get();
@@ -195,9 +202,49 @@ TEST(ServingCompactionTest, CompactOnceIsDeterministicAndExact) {
     }
   }
   engine.Stop();
-  const CompactionStats totals = engine.CompactionTotals();
-  EXPECT_EQ(totals.folds, 4u);
-  EXPECT_EQ(index.Overlay().OverlaidVertices(), 0u);
+  EXPECT_GT(folding_batches, 0u);
+}
+
+TEST(ServingCompactionTest, DirectedReadersExactAcrossPublishedFolds) {
+  DynamicDiOptions dynamic;
+  dynamic.rebuild_threshold = 0.25;
+  dynamic.rebuild_options.num_threads = 1;
+  dynamic.num_threads = 1;
+  const DiGraph graph = GenerateRandomDiGraph(kN, 120, 29);
+  DynamicDspcIndex index(graph, dynamic.rebuild_options, dynamic);
+  const VertexOrder order = index.Order();
+  ServingEngine engine(&index, SmallServing());
+
+  Rng rng(4711);
+  for (int round = 0; round < kRounds; ++round) {
+    EdgeUpdateBatch batch;
+    std::set<std::pair<VertexId, VertexId>> in_batch;
+    while (batch.Size() < kUpdatesPerRound) {
+      const auto u = static_cast<VertexId>(rng.NextBounded(kN));
+      const auto v = static_cast<VertexId>(rng.NextBounded(kN));
+      if (u == v || !in_batch.insert({u, v}).second) continue;
+      if (index.HasEdge(u, v)) {
+        batch.Delete(u, v);
+      } else {
+        batch.Insert(u, v);
+      }
+    }
+    ASSERT_TRUE(engine.ApplyUpdates(batch).ok());
+    EXPECT_EQ(engine.PublishedGeneration(), index.Generation());
+
+    const DiGraph current = index.MaterializeGraph();
+    const QueryBatch checks = MakeRandomQueries(kN, kOracleChecks, rng.Next());
+    const std::vector<SpcResult> served = engine.SubmitBatch(checks).get();
+    for (size_t i = 0; i < checks.size(); ++i) {
+      const auto [s, t] = checks[i];
+      ASSERT_EQ(served[i], DiBfsSpcPair(current, s, t))
+          << "round " << round << " query (" << s << " -> " << t << ")";
+    }
+  }
+  engine.Stop();
+  EXPECT_GT(index.Stats().folds, 0u);
+  EXPECT_EQ(index.Stats().rebuilds, index.Stats().folds);
+  EXPECT_EQ(index.Order(), order);
 }
 
 }  // namespace

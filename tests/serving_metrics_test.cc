@@ -168,6 +168,9 @@ TEST(ServingMetricsTest, LabelBytesAccountBothSpansPerMiss) {
 
   const uint64_t served = 2 * queries.size();
   EXPECT_EQ(CounterValue(registry, obs::kServeCacheMissesTotal), served);
+  // The engine's own tally agrees: a disabled cache still counts misses.
+  EXPECT_EQ(engine.Counters().cache_misses, served);
+  EXPECT_EQ(engine.Counters().cache_hits, 0u);
   EXPECT_EQ(CounterValue(registry, obs::kServeLabelBytesMergedTotal),
             expected_bytes);
   const auto per_query =

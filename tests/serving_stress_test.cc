@@ -70,17 +70,29 @@ class QuiesceGate {
   bool pause_ GUARDED_BY(mu_) = false;
 };
 
-void RunStress(double rebuild_threshold) {
+/// What the writer's stream drives the index through.
+enum class StressMode {
+  kRepairOnly,   // no threshold: the overlay only grows
+  kFolds,        // the overlay folds into the base under the same order
+  kFullRebuild,  // insert-heavy until a folded base outgrows the bound
+};
+
+void RunStress(StressMode mode) {
   BuildOptions build;
   build.num_landmarks = 4;
   build.num_threads = 1;
   DynamicOptions dynamic;
-  dynamic.rebuild_threshold = rebuild_threshold;
+  dynamic.rebuild_threshold = mode == StressMode::kRepairOnly ? 1e18
+                              : mode == StressMode::kFolds    ? 0.25
+                                                              : 0.1;
   dynamic.rebuild_options = build;
   dynamic.num_threads = 1;
+  // The full-rebuild stream deletes rarely, so the labels grow.
+  const double delete_share = mode == StressMode::kFullRebuild ? 0.1 : 0.5;
 
   const Graph graph = GenerateErdosRenyi(kN, 100, 7);
   DynamicSpcIndex index(graph, build, dynamic);
+  const VertexOrder order = index.Order();
 
   ServingOptions serving;
   serving.num_workers = 2;
@@ -125,11 +137,20 @@ void RunStress(double rebuild_threshold) {
   }
 
   Rng rng(4242);
-  for (int round = 0; round < kRounds; ++round) {
+  int rounds = 0;
+  for (int round = 0;; ++round) {
+    const bool full_rebuild_ran =
+        index.Stats().rebuilds > index.Stats().folds;
+    if (mode == StressMode::kFullRebuild ? full_rebuild_ran
+                                         : round == kRounds) {
+      break;
+    }
+    ASSERT_LT(round, 20 * kRounds) << "no full rebuild under insert churn";
+    ++rounds;
     // A randomized mixed batch, valid against the mirrored edge set.
     EdgeUpdateBatch batch;
     for (size_t i = 0; i < kUpdatesPerRound; ++i) {
-      const bool remove = !edges.empty() && rng.NextBool(0.5);
+      const bool remove = !edges.empty() && rng.NextBool(delete_share);
       if (remove) {
         auto it = edges.begin();
         std::advance(it, static_cast<long>(rng.NextBounded(edges.size())));
@@ -170,13 +191,36 @@ void RunStress(double rebuild_threshold) {
   for (std::thread& reader : readers) reader.join();
   engine.Stop();
 
+  const DynamicStats& stats = index.Stats();
+  switch (mode) {
+    case StressMode::kRepairOnly:
+      EXPECT_EQ(stats.rebuilds, 0u);
+      break;
+    case StressMode::kFolds:
+      // Every base swap was a fold: the order never moved mid-serve.
+      EXPECT_GT(stats.folds, 0u);
+      EXPECT_EQ(stats.rebuilds, stats.folds);
+      EXPECT_EQ(index.Order(), order);
+      break;
+    case StressMode::kFullRebuild:
+      // The last batch ended in the full rebuild: readers were switched
+      // to a re-ordered base mid-serve, and that base is exactly a
+      // fresh build of the current graph.
+      EXPECT_GT(stats.folds, 0u);
+      EXPECT_NE(index.Order(), order);
+      EXPECT_EQ(index.StalenessRatio(), 0.0);
+      EXPECT_TRUE(index.BaseIndex() ==
+                  BuildIndex(index.MaterializeGraph(), build).index);
+      break;
+  }
+
   const ServingCounters counters = engine.Counters();
+  const size_t submitted = static_cast<size_t>(rounds) * kUpdatesPerRound;
   // Batches apply their *net* effect: an insert later cancelled by a
   // delete in the same batch coalesces away instead of applying twice.
-  EXPECT_EQ(counters.updates_applied + index.Stats().updates_coalesced,
-            kRounds * kUpdatesPerRound);
-  EXPECT_LE(counters.updates_applied, kRounds * kUpdatesPerRound);
-  EXPECT_GE(counters.generations_published, static_cast<uint64_t>(kRounds));
+  EXPECT_EQ(counters.updates_applied + stats.updates_coalesced, submitted);
+  EXPECT_LE(counters.updates_applied, submitted);
+  EXPECT_GE(counters.generations_published, static_cast<uint64_t>(rounds));
   // Every retired generation must eventually be reclaimed or pending;
   // none may leak outside the manager's books.
   EXPECT_EQ(counters.snapshots_reclaimed + counters.snapshots_retired_pending,
@@ -184,13 +228,17 @@ void RunStress(double rebuild_threshold) {
 }
 
 TEST(ServingStressTest, ReadersExactUnderRepairChurn) {
-  RunStress(/*rebuild_threshold=*/1e18);  // repair-only, overlay grows
+  RunStress(StressMode::kRepairOnly);
 }
 
-TEST(ServingStressTest, ReadersExactUnderRebuildChurn) {
-  // A tiny threshold forces staleness rebuilds mid-serve: publishes
-  // swap whole base indexes, not just overlay deltas.
-  RunStress(/*rebuild_threshold=*/0.02);
+TEST(ServingStressTest, ReadersExactUnderFoldChurn) {
+  // Folds mid-serve: publishes swap whole base indexes, not just
+  // overlay deltas, under the unchanged order.
+  RunStress(StressMode::kFolds);
+}
+
+TEST(ServingStressTest, ReadersExactAcrossFullRebuild) {
+  RunStress(StressMode::kFullRebuild);
 }
 
 }  // namespace
